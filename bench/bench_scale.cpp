@@ -35,6 +35,8 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %10s %12s %12s %12s %12s\n", "procs", "points",
               "gen(s)", "load(s)", "rows/s", "event-q(ms)", "agg-q(ms)");
 
+  double first_rows_per_s = 0.0;
+  double last_rows_per_s = 0.0;
   for (std::int32_t procs : sizes) {
     io::synth::TrialSpec spec;
     spec.name = "miranda." + std::to_string(procs) + "p";
@@ -63,19 +65,27 @@ int main(int argc, char** argv) {
         trial_id, events.front().id, "exclusive");
     const double aggregate_ms = timer.millis();
 
+    const double rows_per_s = static_cast<double>(points) / load_seconds;
     std::printf("%8d %12zu %10.2f %12.2f %12.0f %12.2f %12.2f\n", procs, points,
-                generate_seconds, load_seconds,
-                static_cast<double>(points) / load_seconds, event_query_ms,
+                generate_seconds, load_seconds, rows_per_s, event_query_ms,
                 aggregate_ms);
     (void)aggregate;
+    if (procs == sizes.front()) first_rows_per_s = rows_per_s;
+    last_rows_per_s = rows_per_s;
 
     const std::string prefix = "p" + std::to_string(procs) + "_";
     json.set(prefix + "load_s", load_seconds);
-    json.set(prefix + "load_rows_per_s",
-             static_cast<double>(points) / load_seconds);
+    json.set(prefix + "load_rows_per_s", rows_per_s);
     json.set(prefix + "aggregate_ms", aggregate_ms);
   }
-  std::printf("\npaper claim: 16384 procs x 101 events = ~1.65M points handled"
+  // Complexity gate: load rows/s at the largest size over the smallest.
+  // Linear load keeps this near 1; a per-row cost that grows with the
+  // table (an O(rows) index insert) drives it toward 0.
+  const double load_growth = last_rows_per_s / first_rows_per_s;
+  json.set("load_growth", load_growth);
+  std::printf("\nload growth (rows/s at %d procs / at %d procs): %.2f\n",
+              sizes.back(), sizes.front(), load_growth);
+  std::printf("paper claim: 16384 procs x 101 events = ~1.65M points handled"
               " without problems\n");
 
   // ---- E1b: many experiments in one archive ---------------------------

@@ -2,9 +2,10 @@
 # CI-style check: build and run the full test suite four times —
 # plain, with telemetry compiled out (-DPERFDMF_TELEMETRY=OFF), under
 # ThreadSanitizer, and under AddressSanitizer+UBSan — then run the
-# perfguard stage: the YCSB-style workload driver at quick scale, its
-# BENCH_workload.json loaded into sqldb and gated against the committed
-# baseline in bench/baselines/ (threshold PERFGUARD_THRESHOLD, default
+# perfguard stage: the YCSB-style workload driver and the E1 scale study
+# (bench_scale) at quick scale, their BENCH_workload.json and
+# BENCH_scale.json loaded into sqldb and gated against the committed
+# baselines in bench/baselines/ (threshold PERFGUARD_THRESHOLD, default
 # 50% — generous on purpose: cross-invocation throughput spread on
 # shared/containerised CPU measures ~35% even best-of-3, so the gate
 # catches halvings, not jitter. Tighten via PERFGUARD_THRESHOLD on
@@ -38,23 +39,28 @@ run_suite() {
   ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "${extra[@]}"
 }
 
-# Quick-scale workload run + gate against the committed baseline. The
-# seed baseline was recorded with --record-baseline on a quiet machine;
-# on very different hardware, re-record it (perfguard fails loudly, not
-# silently, when the machine class changed).
+# Quick-scale workload and scale runs + gate against the committed
+# baselines. The seed baselines were recorded with --record-baseline on a
+# quiet machine; on very different hardware, re-record them (perfguard
+# fails loudly, not silently, when the machine class changed).
+# bench_scale --quick loads 256..4096 procs through the PerfDMF schema
+# and reports load_growth, so a load that stops being linear in rows
+# fails the gate, not only one that gets slower at one size.
 run_perfguard() {
   local record="${1:-}"
-  echo "=== perfguard (workload driver + regression gate) ==="
+  echo "=== perfguard (workload driver + scale study + regression gate) ==="
   cmake -B build-check -S . >/dev/null
-  cmake --build build-check -j "$JOBS" --target bench_workload perfguard
-  (cd build-check && ./bench/bench_workload --quick)
+  cmake --build build-check -j "$JOBS" --target bench_workload bench_scale \
+    perfguard
+  (cd build-check && ./bench/bench_workload --quick &&
+    ./bench/bench_scale --quick)
+  local runs=(build-check/BENCH_workload.json build-check/BENCH_scale.json)
   if [ "$record" = "--record-baseline" ]; then
     ./build-check/bench/perfguard --baseline-dir bench/baselines \
-      --record-baseline build-check/BENCH_workload.json
+      --record-baseline "${runs[@]}"
   else
     ./build-check/bench/perfguard --baseline-dir bench/baselines \
-      --threshold "${PERFGUARD_THRESHOLD:-50}" \
-      build-check/BENCH_workload.json
+      --threshold "${PERFGUARD_THRESHOLD:-50}" "${runs[@]}"
   fi
 }
 

@@ -340,6 +340,10 @@ Database::Database(const std::filesystem::path& directory,
 Database::~Database() {
   if (wal_ && !replaying_) {
     try {
+      // A transaction still open at close never committed: its WAL batch
+      // was never written, so drop its versions before the checkpoint
+      // snapshots the tables.
+      if (in_txn_) rollback();
       checkpoint();
     } catch (const std::exception& e) {
       util::log_error() << "checkpoint on close failed: " << e.what();

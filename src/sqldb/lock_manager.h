@@ -34,19 +34,7 @@
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "util/error.h"
-
-// ThreadSanitizer detection: gcc defines __SANITIZE_THREAD__, clang
-// exposes __has_feature(thread_sanitizer).
-#if defined(__SANITIZE_THREAD__)
-#define PERFDMF_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PERFDMF_TSAN 1
-#endif
-#endif
-#ifndef PERFDMF_TSAN
-#define PERFDMF_TSAN 0
-#endif
+#include "util/sanitizer.h"
 
 namespace perfdmf::sqldb {
 

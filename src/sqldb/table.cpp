@@ -1,6 +1,7 @@
 #include "sqldb/table.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "telemetry/metrics.h"
 #include "util/error.h"
@@ -132,8 +133,8 @@ void Table::check_unique_locked(const Row& row, std::optional<RowId> self,
     if (!index.unique) continue;
     const Value& key = row[column];
     if (key.is_null()) continue;
-    auto [lo, hi] = index.entries.equal_range(key);
-    for (auto it = lo; it != hi; ++it) {
+    const auto hi = keys_until(index.entries, key, true);
+    for (auto it = keys_from(index.entries, key, true); it != hi; ++it) {
       if (self && it->second == *self) continue;
       if (it->second >= slots_.size()) continue;
       const RowVersion* v = resolve_visible(
@@ -269,58 +270,6 @@ bool Table::collect_batch(
   return !out.empty();
 }
 
-// --- Legacy stamp-less mutations (external exclusion required) ------------
-
-void Table::update(RowId id, Row row) {
-  row = normalize(std::move(row));
-  std::unique_lock lk(latch_);
-  RowVersion* head = id < slots_.size()
-                         ? slots_[id].head.load(std::memory_order_relaxed)
-                         : nullptr;
-  auto* cur = const_cast<RowVersion*>(resolve_visible(head, ReadView::latest()));
-  if (!cur) throw DbError("update of dead row in " + schema_.name());
-  check_unique_locked(row, id, ReadView::latest());
-  // In-place replacement: drop the exact old entries, swap the data, add
-  // the new keys.
-  for (auto& [column, index] : indexes_) {
-    auto [lo, hi] = index.entries.equal_range(cur->data[column]);
-    for (auto it = lo; it != hi; ++it) {
-      if (it->second == id) {
-        index.entries.erase(it);
-        break;
-      }
-    }
-  }
-  cur->data = std::move(row);
-  index_add(id, cur->data);
-}
-
-void Table::erase(RowId id) {
-  std::unique_lock lk(latch_);
-  RowVersion* head = id < slots_.size()
-                         ? slots_[id].head.load(std::memory_order_relaxed)
-                         : nullptr;
-  if (!resolve_visible(head, ReadView::latest())) {
-    throw DbError("delete of dead row in " + schema_.name());
-  }
-  // Hard delete: remove every index entry the chain contributed and free it.
-  for (const RowVersion* v = head; v; v = v->older) {
-    for (auto& [column, index] : indexes_) {
-      auto [lo, hi] = index.entries.equal_range(v->data[column]);
-      for (auto it = lo; it != hi; ++it) {
-        if (it->second == id) {
-          index.entries.erase(it);
-          break;
-        }
-      }
-    }
-  }
-  slots_[id].head.store(nullptr, std::memory_order_release);
-  free_chain(head);
-  live_rows_.fetch_add(-1, std::memory_order_relaxed);
-  free_slots_.push_back(id);
-}
-
 // --- Indexes --------------------------------------------------------------
 
 void Table::create_index(std::size_t column_index, bool unique) {
@@ -341,7 +290,7 @@ void Table::create_index(std::size_t column_index, bool unique) {
          v; v = v->older) {
       std::uint64_t token = 0;
       if (begin_ts_of(v, token) == kTsAborted) continue;
-      index_add_one(it->second, v->data[column_index], id);
+      it->second.entries.emplace(v->data[column_index], id);
     }
   }
 }
@@ -362,11 +311,14 @@ std::optional<std::vector<RowId>> Table::index_equal(std::size_t column_index,
   std::shared_lock lk(latch_);
   auto it = indexes_.find(column_index);
   if (it == indexes_.end()) return std::nullopt;
+  // One key's entries are contiguous and ordered by slot, so the slots
+  // come out ascending and unique.
+  const auto& entries = it->second.entries;
   std::vector<RowId> out;
-  auto [lo, hi] = it->second.entries.equal_range(key);
-  for (auto e = lo; e != hi; ++e) out.push_back(e->second);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  const auto end = keys_until(entries, key, true);
+  for (auto e = keys_from(entries, key, true); e != end; ++e) {
+    out.push_back(e->second);
+  }
   return out;
 }
 
@@ -378,15 +330,10 @@ std::optional<std::vector<RowId>> Table::index_range(
   auto it = indexes_.find(column_index);
   if (it == indexes_.end()) return std::nullopt;
   const auto& entries = it->second.entries;
-  // Exclusive bounds flip lower_bound/upper_bound so a strict inequality
-  // fetches exactly the qualifying keys instead of over-fetching the
-  // boundary key's rows.
-  auto begin = lo ? (lo_inclusive ? entries.lower_bound(*lo)
-                                  : entries.upper_bound(*lo))
-                  : entries.begin();
-  auto end = hi ? (hi_inclusive ? entries.upper_bound(*hi)
-                                : entries.lower_bound(*hi))
-                : entries.end();
+  // Exclusive bounds leave the boundary key's entries out, so a strict
+  // inequality fetches exactly the qualifying keys.
+  auto begin = lo ? keys_from(entries, *lo, lo_inclusive) : entries.begin();
+  auto end = hi ? keys_until(entries, *hi, hi_inclusive) : entries.end();
   if (lo && hi) {
     // Contradictory bounds (lo above hi) would put `begin` past `end`;
     // the iteration below must not run in that case.
@@ -457,20 +404,22 @@ void Table::drop_column(const std::string& name) {
   }
 }
 
-void Table::index_add(RowId id, const Row& row) {
-  for (auto& [column, index] : indexes_) {
-    index_add_one(index, row[column], id);
-  }
+constexpr RowId kMaxSlot = std::numeric_limits<RowId>::max();
+
+Table::IndexEntries::const_iterator Table::keys_from(
+    const IndexEntries& entries, const Value& key, bool inclusive) {
+  return inclusive ? entries.lower_bound(IndexProbe{key, 0})
+                   : entries.upper_bound(IndexProbe{key, kMaxSlot});
 }
 
-void Table::index_add_one(Index& index, const Value& key, RowId id) {
-  // One entry per (key, slot) pair: a second version with the same key
-  // would only produce duplicate candidates.
-  auto [lo, hi] = index.entries.equal_range(key);
-  for (auto it = lo; it != hi; ++it) {
-    if (it->second == id) return;
-  }
-  index.entries.emplace(key, id);
+Table::IndexEntries::const_iterator Table::keys_until(
+    const IndexEntries& entries, const Value& key, bool inclusive) {
+  return inclusive ? entries.upper_bound(IndexProbe{key, kMaxSlot})
+                   : entries.lower_bound(IndexProbe{key, 0});
+}
+
+void Table::index_add(RowId id, const Row& row) {
+  for (auto& [column, index] : indexes_) index.entries.emplace(row[column], id);
 }
 
 // --- Vacuum ---------------------------------------------------------------

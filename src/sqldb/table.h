@@ -9,17 +9,22 @@
 // — run from checkpoint under full exclusion — collapses chains, frees
 // dead slots, and rebuilds the indexes.
 //
-// Index entries are append-mostly: a (key, RowId) pair is added when a
+// Each index is an ordered set of (key, RowId) pairs, sorted by key and
+// then by slot. Adding an entry is one O(log n) insert, and a pair that is
+// already present (a later version of the same slot with the same key,
+// or a reused slot carrying its old key) is dropped by the set itself.
+// An equal-key lookup is one contiguous run whose slots come out
+// ascending and unique. Entries are append-mostly: a pair is added when a
 // version introduces the key and never removed by DML, so lookups can
 // return slots whose visible version no longer matches. Every caller
 // re-checks the predicate against the resolved version; vacuum rebuilds
-// the maps exactly.
+// the sets exactly.
 //
 // Thread contract: concurrent calls are safe between any number of readers
 // (fetch/scan/index_* with a ReadView) and ONE writer (insert/update/erase
 // with a stamp) — the engine's writer mutex provides the single-writer
-// guarantee. create_index/add_column/drop_column/vacuum and the legacy
-// stamp-less mutations require full external exclusion.
+// guarantee. create_index/add_column/drop_column/vacuum and the stamp-less
+// bulk-load insert require full external exclusion.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +32,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <shared_mutex>
 #include <vector>
 
@@ -111,16 +117,14 @@ class Table {
     }
   }
 
-  // --- Legacy stamp-less access (requires external exclusion) -----------
+  // --- Stamp-less access (requires external exclusion) ------------------
   //
   // Bulk-load / scratch-table path: snapshot load, system-table and view
-  // materialisation, and single-threaded tests. Versions are committed at
-  // timestamp 0 (visible to every view); mutations act on the latest
-  // committed version in place.
+  // materialisation, and single-threaded tests. Inserted versions are
+  // committed at timestamp 0 (visible to every view); reads see the latest
+  // committed version.
 
   RowId insert(Row row) { return insert(std::move(row), nullptr, ReadView::latest()); }
-  void update(RowId id, Row row);
-  void erase(RowId id);
   bool is_live(RowId id) const { return is_live(id, ReadView::latest()); }
   const Row& row(RowId id) const { return row(id, ReadView::latest()); }
 
@@ -188,16 +192,40 @@ class Table {
   struct Slot {
     std::atomic<RowVersion*> head{nullptr};
   };
+  // Index entries order by key, then slot. The comparator is transparent
+  // so lookups probe with a borrowed key instead of copying a Value.
+  using IndexEntry = std::pair<Value, RowId>;
+  struct IndexProbe {
+    const Value& first;
+    RowId second;
+  };
+  struct IndexLess {
+    using is_transparent = void;
+    template <typename A, typename B>
+    bool operator()(const A& a, const B& b) const {
+      const int c = a.first.compare(b.first);
+      return c < 0 || (c == 0 && a.second < b.second);
+    }
+  };
+  using IndexEntries = std::set<IndexEntry, IndexLess>;
   struct Index {
     bool unique = false;
-    std::multimap<Value, RowId> entries;
+    IndexEntries entries;
   };
+  // Bounds of the entries whose key is >= `key` (keys_from) or <= `key`
+  // (keys_until); an exclusive bound leaves the key's own entries out.
+  static IndexEntries::const_iterator keys_from(const IndexEntries& entries,
+                                                const Value& key,
+                                                bool inclusive);
+  static IndexEntries::const_iterator keys_until(const IndexEntries& entries,
+                                                 const Value& key,
+                                                 bool inclusive);
 
   Row normalize(Row row) const;
   Row prepare_insert(Row row);
-  /// Add (row[column], id) to every index, skipping pairs already present.
+  /// Add (row[column], id) to every index; pairs already present are kept
+  /// once by the set.
   void index_add(RowId id, const Row& row);
-  void index_add_one(Index& index, const Value& key, RowId id);
   void check_unique_locked(const Row& row, std::optional<RowId> self,
                            const ReadView& view) const;
   /// Pop a reusable committed-deleted slot, or allocate a fresh one.

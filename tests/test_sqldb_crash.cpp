@@ -37,18 +37,11 @@
 #include "util/file.h"
 #include "util/log.h"
 #include "util/rng.h"
+#include "util/sanitizer.h"
 
 using namespace perfdmf::sqldb;
 namespace u = perfdmf::util;
 namespace fp = perfdmf::util::failpoint;
-
-#if defined(__SANITIZE_THREAD__)
-#define PERFDMF_TSAN 1
-#elif defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define PERFDMF_TSAN 1
-#endif
-#endif
 
 namespace {
 
@@ -222,7 +215,7 @@ std::map<std::int64_t, std::set<std::int64_t>> dump_rows(Connection& conn) {
 // ------------------------------------------------------------- harness
 
 TEST_F(CrashRecovery, RandomKillPointsPreserveCommittedTransactions) {
-#ifdef PERFDMF_TSAN
+#if PERFDMF_TSAN
   GTEST_SKIP() << "fork() is unreliable under TSan";
 #endif
   // PERFDMF_SEED replays a reported failing seed without recompiling.
@@ -407,7 +400,7 @@ TEST_F(FailpointRollback, CheckpointFailureKeepsStoreRecoverable) {
 }
 
 TEST_F(CrashRecovery, TornCommitWriteIsInvisibleAfterRestart) {
-#ifdef PERFDMF_TSAN
+#if PERFDMF_TSAN
   GTEST_SKIP() << "fork() is unreliable under TSan";
 #endif
   u::ScopedTempDir dir;
@@ -453,7 +446,7 @@ TEST_F(CrashRecovery, TornCommitWriteIsInvisibleAfterRestart) {
 // record fsynced) must survive recovery in full, and commits caught
 // mid-group may land either way — but never torn.
 TEST_F(CrashRecovery, CrashMidGroupFsyncRecoversEveryAcknowledgedCommit) {
-#ifdef PERFDMF_TSAN
+#if PERFDMF_TSAN
   GTEST_SKIP() << "fork() is unreliable under TSan";
 #endif
   u::ScopedTempDir dir;
@@ -560,7 +553,7 @@ TEST_F(CrashRecovery, CrashMidGroupFsyncRecoversEveryAcknowledgedCommit) {
 // it degrades to read-only (still serving reads), then dies uncleanly.
 // Recovery must hold exactly the writes acknowledged before the fault.
 TEST_F(CrashRecovery, ChildDyingInDegradedModeKeepsCommittedData) {
-#ifdef PERFDMF_TSAN
+#if PERFDMF_TSAN
   GTEST_SKIP() << "fork() is unreliable under TSan";
 #endif
   u::ScopedTempDir dir;

@@ -405,15 +405,16 @@ TEST_F(Governance, AdmissionQueueDrainsInFifoOrder) {
   shared->governor().configure({1, 16, /*queue_timeout_ms=*/10000});
 
   writer.begin();  // everyone below queues behind this transaction
-  std::mutex order_mutex;
-  std::vector<int> completion_order;
   std::vector<std::thread> threads;
   for (int i = 0; i < 3; ++i) {
     threads.emplace_back([&, i] {
+      // The row is written while the statement holds the only admission
+      // slot, so the id order is the admission order. (Recording the
+      // order after execute() returns would race the next admitted
+      // statement.)
       Connection conn(shared);
-      conn.execute("SELECT COUNT(*) FROM t");
-      std::lock_guard<std::mutex> lock(order_mutex);
-      completion_order.push_back(i);
+      conn.execute_update("INSERT INTO t (v) VALUES (?)",
+                          {Value(std::int64_t{i})});
     });
     // Arrival order is the queue order: wait until thread i is queued
     // before launching thread i+1.
@@ -428,7 +429,10 @@ TEST_F(Governance, AdmissionQueueDrainsInFifoOrder) {
   writer.commit();
   for (auto& t : threads) t.join();
 
-  EXPECT_EQ(completion_order, (std::vector<int>{0, 1, 2}));
+  std::vector<std::int64_t> admission_order;
+  auto rs = writer.execute("SELECT v FROM t ORDER BY id");
+  while (rs.next()) admission_order.push_back(rs.get_int(1));
+  EXPECT_EQ(admission_order, (std::vector<std::int64_t>{0, 1, 2}));
 }
 
 // ------------------------------------------------ lock-manager guards

@@ -268,6 +268,30 @@ TEST(Persistence, RolledBackTransactionNotReplayed) {
   }
 }
 
+TEST(Persistence, CloseInsideOpenTransactionRollsBackThenCheckpoints) {
+  u::ScopedTempDir dir;
+  const auto db_dir = dir.path() / "db";
+  ::testing::internal::CaptureStderr();
+  {
+    Connection conn(db_dir);
+    conn.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, x INTEGER)");
+    conn.execute_update("INSERT INTO t (x) VALUES (1)");
+    conn.begin();
+    conn.execute_update("INSERT INTO t (x) VALUES (2)");
+  }  // closed with the transaction still open
+  const std::string log = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(log.find("ERROR"), std::string::npos) << log;
+  // The close checkpointed: the snapshot holds the data, the WAL is empty.
+  EXPECT_TRUE(u::read_file(db_dir / "wal.log").empty());
+  {
+    Connection conn(db_dir);
+    auto rs = conn.execute("SELECT x FROM t");
+    ASSERT_EQ(rs.row_count(), 1u);
+    rs.next();
+    EXPECT_EQ(rs.get_int(1), 1);
+  }
+}
+
 TEST(Persistence, CheckpointTruncatesWalAndKeepsData) {
   u::ScopedTempDir dir;
   const auto db_dir = dir.path() / "db";
