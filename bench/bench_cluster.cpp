@@ -94,6 +94,31 @@ int main() {
   }
   std::printf("\npaper claim: cluster analysis on up to 1024 threads x 7 PAPI"
               " counters; Ahn & Vetter results reproduced (ARI ~ 1)\n");
+
+  // PCA cost against feature width: the eigensolver is O(dims^3), so the
+  // width, not the thread count, sets its cost. 24 events x 7 metrics is
+  // the explore workload's shape; 72 events triples the width.
+  std::printf("\nPCA vs feature width (128 threads, 7 metrics, best of 3)\n");
+  std::printf("%8s %8s %10s\n", "events", "dims", "pca(ms)");
+  for (std::size_t events : {24u, 72u}) {
+    io::synth::ClusterSpec spec;
+    spec.threads = 128;
+    spec.event_count = events;
+    auto features =
+        analysis::thread_features(io::synth::generate_clustered_trial(spec).trial);
+    double best_ms = 0.0;
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      util::WallTimer timer;
+      analysis::pca(features.values, features.rows, features.cols, 2);
+      const double ms = timer.millis();
+      if (repeat == 0 || ms < best_ms) best_ms = ms;
+    }
+    std::printf("%8zu %8zu %10.2f\n", events, features.cols, best_ms);
+    std::string key = "pca_";
+    key += std::to_string(features.cols);
+    key += "d_ms";
+    json.set(key, best_ms);
+  }
   json.write();
   return 0;
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # CI-style check: build and run the full test suite four times —
 # plain, with telemetry compiled out (-DPERFDMF_TELEMETRY=OFF), under
-# ThreadSanitizer, and under AddressSanitizer+UBSan — then run the
+# ThreadSanitizer, and under AddressSanitizer+UBSan — each stage printing
+# its gtest case count per ctest label and failing on any GTEST_SKIP not
+# listed in tests/expected_skips.txt — then run the
 # perfguard stage: the YCSB-style workload driver and the E1 scale study
 # (bench_scale) at quick scale, their BENCH_workload.json and
 # BENCH_scale.json loaded into sqldb and gated against the committed
@@ -28,15 +30,29 @@ cd "$(dirname "$0")/.."
 MODE="${1:-}"
 JOBS="$(nproc)"
 
+# ctest with every gtest binary writing a JSON report, then
+# scripts/check_skips.py: print how many cases each label ran and fail
+# on any GTEST_SKIP that tests/expected_skips.txt does not name for the
+# stage.
+run_ctest() {
+  local stage="$1" dir="$2"
+  shift 2
+  local reports="$dir/gtest-reports"
+  rm -rf "$reports"
+  GTEST_OUTPUT="json:$(pwd)/$reports/" \
+    ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "$@"
+  python3 scripts/check_skips.py "$stage" "$dir" "$reports"
+}
+
 run_suite() {
-  local dir="$1" label_filter="$2" label_exclude="$3"
-  shift 3
+  local stage="$1" dir="$2" label_filter="$3" label_exclude="$4"
+  shift 4
   local extra=()
   [ -n "$label_filter" ] && extra+=(-L "$label_filter")
   [ -n "$label_exclude" ] && extra+=(-LE "$label_exclude")
   cmake -B "$dir" -S . "$@" >/dev/null
   cmake --build "$dir" -j "$JOBS"
-  ctest --test-dir "$dir" --output-on-failure -j "$JOBS" "${extra[@]}"
+  run_ctest "$stage" "$dir" "${extra[@]}"
 }
 
 # Quick-scale workload and scale runs + gate against the committed
@@ -80,19 +96,19 @@ if [ "$MODE" = "quick" ]; then
 fi
 
 echo "=== plain build ==="
-run_suite build-check "" ""
+run_suite plain build-check "" ""
 
 echo "=== telemetry compiled out ==="
 # The kill switch must keep the whole suite green: system tables exist
 # but serve zeros, and recording compiles to nothing.
-run_suite build-notel "" "" -DPERFDMF_TELEMETRY=OFF
+run_suite notel build-notel "" "" -DPERFDMF_TELEMETRY=OFF
 
 echo "=== telemetry compiled out: introspection smoke ==="
 # Explicit gate on the introspection surface with the kill switch
 # thrown: EXPLAIN ANALYZE must still report real per-operator stats
 # (its clocks are independent of telemetry) and the live system tables
 # must stay queryable, with the counter-backed columns frozen at zero.
-ctest --test-dir build-notel --output-on-failure -j "$JOBS" -L observability
+run_ctest notel build-notel -L observability
 
 echo "=== ThreadSanitizer ==="
 # The fork-based crash-recovery harness (-L crash) is excluded: fork()
@@ -103,11 +119,11 @@ echo "=== ThreadSanitizer ==="
 # (-L robustness) assert wall-clock bounds (deadline delivery, queue
 # timeouts) that TSan's timing distortion breaks; they get their own
 # dedicated ASan stage below instead.
-run_suite build-tsan "$SAN_FILTER" "crash|workload|robustness" \
+run_suite tsan build-tsan "$SAN_FILTER" "crash|workload|robustness" \
   -DPERFDMF_SANITIZE=thread
 
 echo "=== AddressSanitizer + UBSan ==="
-run_suite build-asan "$ASAN_FILTER" "workload|robustness" \
+run_suite asan build-asan "$ASAN_FILTER" "workload|robustness" \
   -DPERFDMF_SANITIZE=address,undefined
 
 echo "=== chaos (robustness suites under ASan, fixed seed) ==="
@@ -115,8 +131,8 @@ echo "=== chaos (robustness suites under ASan, fixed seed) ==="
 # is pinned so CI failures reproduce exactly; a failing schedule prints
 # its own "replay with PERFDMF_SEED=..." line. Override PERFDMF_SEED to
 # explore different schedules locally.
-PERFDMF_SEED="${PERFDMF_SEED:-3405691582}" ctest --test-dir build-asan \
-  --output-on-failure -j "$JOBS" -L robustness
+PERFDMF_SEED="${PERFDMF_SEED:-3405691582}" run_ctest chaos build-asan \
+  -L robustness
 
 run_perfguard
 

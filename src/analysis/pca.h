@@ -1,4 +1,5 @@
-// Principal component analysis via a cyclic Jacobi eigensolver.
+// Principal component analysis via a Householder + implicit-QL
+// symmetric eigensolver (EISPACK tred2/tql2).
 //
 // PerfExplorer (paper §5.3) notes that "current visualization tools are
 // incapable of displaying thousands of data points with hundreds of
@@ -26,10 +27,12 @@ struct PcaResult {
 PcaResult pca(const std::vector<double>& data, std::size_t rows, std::size_t dims,
               std::size_t keep = 0);
 
-/// Jacobi eigendecomposition of a symmetric matrix (n x n, row-major).
-/// Returns (eigenvalues, eigenvectors as rows), sorted descending.
-void jacobi_eigen(std::vector<double> matrix, std::size_t n,
-                  std::vector<double>& eigenvalues,
-                  std::vector<std::vector<double>>& eigenvectors);
+/// Eigendecomposition of a symmetric matrix (n x n, row-major): Householder
+/// tridiagonalization, then implicit QL with shifts, O(n^3) with a small
+/// constant. Returns (eigenvalues, eigenvectors as rows), sorted
+/// descending. Throws InvalidArgument when n == 0 or the size is not n*n.
+void symmetric_eigen(std::vector<double> matrix, std::size_t n,
+                     std::vector<double>& eigenvalues,
+                     std::vector<std::vector<double>>& eigenvectors);
 
 }  // namespace perfdmf::analysis

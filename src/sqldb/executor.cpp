@@ -1,6 +1,7 @@
 #include "sqldb/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
@@ -25,6 +26,17 @@ namespace {
 // so a conservative flat cost per retained entry/value is enough.
 constexpr std::uint64_t kHashEntryBytes = 64;  // bucket + key + index slot
 constexpr std::uint64_t kValueBytes = 48;      // one stored Value, amortized
+
+/// Equi-join strategy when the right side is indexed on its join key:
+/// probing the index costs about ceil(log2 right) per left row, a hash
+/// join reads every right row once. Probe when that is cheaper, e.g. a
+/// one-trial event list against the whole archive's profile table.
+bool index_probe_is_cheaper(std::size_t left_rows, std::size_t right_rows) {
+  if (right_rows == 0) return false;
+  const auto log2_right =
+      static_cast<std::size_t>(std::bit_width(right_rows - 1));
+  return left_rows * log2_right < right_rows;
+}
 
 /// Collects per-operator runtime stats (EXPLAIN ANALYZE) and emits
 /// operator events onto the trace timeline. Inactive — zero clock reads —
@@ -547,9 +559,8 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   const std::vector<RowId> candidates = fetch_access_path(base, path, view);
 
   ws.rows.reserve(candidates.size());
-  for (RowId id : candidates) {
+  for (const Row* row : base.fetch_many(candidates, view)) {
     if (ctx != nullptr) ctx->poll();
-    const Row* row = base.fetch(id, view);
     if (row == nullptr) continue;
     bool keep = true;
     for (const Expr* conjunct : pushed) {
@@ -564,11 +575,13 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
              ws.rows.size());
 
   // Joins. An equi-join conjunct (existing_col = right_col) in the ON
-  // clause selects a build/probe hash join built on the smaller side;
-  // without one (or with hash joins disabled) the join falls back to an
-  // index-nested-loop when the right side has an index on its key, and a
-  // plain nested loop otherwise. NULL keys never hash-match (SQL '='),
-  // and the non-equi remainder of the ON clause is evaluated per pair.
+  // clause selects an index-nested-loop when the right side has an index
+  // on its key and few enough left rows probe it (index_probe_is_cheaper),
+  // else a build/probe hash join built on the smaller side. Without an
+  // equi conjunct, or with hash joins disabled, the join falls back to the
+  // index-nested-loop when the right key is indexed and a plain nested
+  // loop otherwise. NULL keys never match (SQL '='), and the non-equi
+  // remainder of the ON clause is evaluated per pair.
   for (auto& join : stmt.joins) {
     const auto join_start = rec.begin();
     const std::uint64_t join_rows_in = ws.rows.size();
@@ -625,7 +638,11 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     const std::size_t right_width = right.schema().columns().size();
     std::vector<Row> joined;
 
-    bool hash_join = equi != nullptr && tuning.hash_join;
+    const bool right_indexed = equi != nullptr && right.has_index(right_key);
+    bool hash_join =
+        equi != nullptr && tuning.hash_join &&
+        !(right_indexed &&
+          index_probe_is_cheaper(ws.rows.size(), right.live_row_count()));
     if (hash_join) {
       // The build table charges the statement's memory budget as it
       // grows; a soft breach abandons the hash strategy (the partially
@@ -736,35 +753,39 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
       }
     }
     if (!hash_join) {
-      const bool use_index =
-          right_key != static_cast<std::size_t>(-1) && right.has_index(right_key);
       if (explain) {
         explain->add("join " + right_alias + ": " +
-                     (use_index ? "index-nested-loop" : "nested-loop"));
+                     (right_indexed ? "index-nested-loop" : "nested-loop"));
       }
       const Expr& on = *join.on;
       for (const auto& left_row : ws.rows) {
         if (ctx != nullptr) ctx->poll();
         bool matched = false;
-        auto try_pair = [&](const Row& right_row) {
+        auto try_pair = [&](const Row& right_row, bool key_matched) {
           Row combined = left_row;
           combined.insert(combined.end(), right_row.begin(), right_row.end());
-          if (is_truthy(eval_expr(on, combined, params))) {
+          if (key_matched ? passes_residual(combined)
+                          : is_truthy(eval_expr(on, combined, params))) {
             joined.push_back(std::move(combined));
             matched = true;
           }
         };
-        if (use_index) {
-          auto hits = right.index_equal(right_key, left_row[left_key]);
-          for (RowId id : *hits) {
-            if (const Row* right_row = right.fetch(id, view)) {
-              try_pair(*right_row);
+        if (right_indexed) {
+          const Value& key = left_row[left_key];
+          if (!key.is_null()) {
+            auto hits = right.index_equal(right_key, key);
+            for (const Row* right_row : right.fetch_many(*hits, view)) {
+              // The index may name a slot whose visible version carries
+              // another key; only a row equal on the key is a match.
+              if (right_row != nullptr && (*right_row)[right_key] == key) {
+                try_pair(*right_row, true);
+              }
             }
           }
         } else {
           right.scan(view, [&](RowId, const Row& right_row) {
             if (ctx != nullptr) ctx->poll();
-            try_pair(right_row);
+            try_pair(right_row, false);
           });
         }
         if (!matched && join.left_outer) {

@@ -72,15 +72,6 @@ struct LockStats {
   std::uint64_t drain_wait_micros = 0;
 };
 
-/// Lock acquisition policy. kSerialized reproduces the pre-MVCC behaviour
-/// (every statement, reads included, funnels through the writer mutex); it
-/// exists so the benchmarks can measure the read-scalability win and must
-/// only be switched while no statement is in flight.
-enum class ConcurrencyMode {
-  kSharedRead,  // snapshot readers in parallel with the writer (default)
-  kSerialized,  // legacy: every statement serialized on the writer mutex
-};
-
 class LockManager {
  public:
   LockManager() = default;
@@ -182,13 +173,6 @@ class LockManager {
   bool owned_by_this_thread() const {
     return txn_owner_.load(std::memory_order_acquire) ==
            std::this_thread::get_id();
-  }
-
-  void set_mode(ConcurrencyMode mode) {
-    mode_.store(mode, std::memory_order_relaxed);
-  }
-  ConcurrencyMode mode() const {
-    return mode_.load(std::memory_order_relaxed);
   }
 
   /// Lock-free snapshot for the PERFDMF_LOCKS system table — never
@@ -319,7 +303,6 @@ class LockManager {
   std::timed_mutex writer_;
   std::shared_timed_mutex drain_;
   std::atomic<std::thread::id> txn_owner_{};
-  std::atomic<ConcurrencyMode> mode_{ConcurrencyMode::kSharedRead};
 
   // Introspection counters (see stats()).
   std::atomic<int> writer_holders_{0};
@@ -332,9 +315,9 @@ class LockManager {
 };
 
 /// RAII statement-scope guard. Maps the statement class to a lock level —
-/// SELECT: drain-shared (writer level when serialized), DML: writer,
-/// DDL: exclusive — and takes nothing at all when the calling thread
-/// already owns the database's transaction lock.
+/// SELECT: drain-shared, DML: writer, DDL: exclusive — and takes nothing
+/// at all when the calling thread already owns the database's transaction
+/// lock.
 class StatementGuard {
  public:
   enum class Level { kNone, kShared, kWriter, kExclusive };
@@ -345,10 +328,7 @@ class StatementGuard {
     if (locks_.owned_by_this_thread()) return;
     switch (cls) {
       case StatementClass::kRead:
-        acquire(locks_.mode() == ConcurrencyMode::kSharedRead
-                    ? Level::kShared
-                    : Level::kWriter,
-                ctx);
+        acquire(Level::kShared, ctx);
         break;
       case StatementClass::kDdl:
         acquire(Level::kExclusive, ctx);

@@ -250,6 +250,24 @@ const Row* Table::fetch(RowId id, const ReadView& view) const {
   return v ? &v->data : nullptr;
 }
 
+std::vector<const Row*> Table::fetch_many(const std::vector<RowId>& ids,
+                                          const ReadView& view) const {
+  std::vector<const Row*> out(ids.size(), nullptr);
+  std::vector<const RowVersion*> heads(ids.size(), nullptr);
+  {
+    std::shared_lock lk(latch_);
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      if (ids[i] < slots_.size()) {
+        heads[i] = slots_[ids[i]].head.load(std::memory_order_acquire);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (const RowVersion* v = resolve_visible(heads[i], view)) out[i] = &v->data;
+  }
+  return out;
+}
+
 const Row& Table::row(RowId id, const ReadView& view) const {
   const Row* r = fetch(id, view);
   if (!r) throw DbError("access to dead row in " + schema_.name());

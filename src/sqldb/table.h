@@ -97,6 +97,11 @@ class Table {
   /// vacuum(), which requires full exclusion.
   const Row* fetch(RowId id, const ReadView& view) const;
 
+  /// fetch() for many slots under one latch acquisition: element i is the
+  /// row `view` sees at ids[i], or nullptr.
+  std::vector<const Row*> fetch_many(const std::vector<RowId>& ids,
+                                     const ReadView& view) const;
+
   bool is_live(RowId id, const ReadView& view) const {
     return fetch(id, view) != nullptr;
   }

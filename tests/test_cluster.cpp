@@ -203,17 +203,181 @@ TEST(Pca, BadShapeThrows) {
   EXPECT_THROW(pca({1.0, 2.0}, 2, 2), InvalidArgument);
 }
 
-TEST(Jacobi, DiagonalizesKnownMatrix) {
+TEST(SymmetricEigen, DiagonalizesKnownMatrix) {
   // [[2, 1], [1, 2]] has eigenvalues 3 and 1.
   std::vector<double> matrix{2.0, 1.0, 1.0, 2.0};
   std::vector<double> eigenvalues;
   std::vector<std::vector<double>> eigenvectors;
-  jacobi_eigen(matrix, 2, eigenvalues, eigenvectors);
+  symmetric_eigen(matrix, 2, eigenvalues, eigenvectors);
   EXPECT_NEAR(eigenvalues[0], 3.0, 1e-12);
   EXPECT_NEAR(eigenvalues[1], 1.0, 1e-12);
   // Eigenvector for 3 is (1,1)/sqrt(2) up to sign.
   EXPECT_NEAR(std::fabs(eigenvectors[0][0]), std::sqrt(0.5), 1e-9);
   EXPECT_NEAR(std::fabs(eigenvectors[0][1]), std::sqrt(0.5), 1e-9);
+}
+
+namespace {
+
+struct Eigen {
+  std::vector<double> values;
+  std::vector<std::vector<double>> vectors;
+};
+
+Eigen decompose(const std::vector<double>& matrix, std::size_t n) {
+  Eigen out;
+  symmetric_eigen(matrix, n, out.values, out.vectors);
+  return out;
+}
+
+double frobenius(const std::vector<double>& m) {
+  double sum = 0.0;
+  for (double x : m) sum += x * x;
+  return std::sqrt(sum);
+}
+
+/// ||A - V^T diag(values) V||_F / ||A||_F, with eigenvectors as rows of V
+/// (the absolute residual when A is zero).
+double reconstruction_error(const std::vector<double>& a, std::size_t n,
+                            const Eigen& eig) {
+  std::vector<double> residual = a;
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto& v = eig.vectors[k];
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        residual[i * n + j] -= eig.values[k] * v[i] * v[j];
+      }
+    }
+  }
+  const double norm = frobenius(a);
+  return norm > 0.0 ? frobenius(residual) / norm : frobenius(residual);
+}
+
+/// ||V V^T - I||_F over the eigenvector rows.
+double orthonormality_error(const Eigen& eig, std::size_t n) {
+  std::vector<double> gram(n * n);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = 0; b < n; ++b) {
+      double dot = 0.0;
+      for (std::size_t i = 0; i < n; ++i) {
+        dot += eig.vectors[a][i] * eig.vectors[b][i];
+      }
+      gram[a * n + b] = dot - (a == b ? 1.0 : 0.0);
+    }
+  }
+  return frobenius(gram);
+}
+
+std::vector<double> random_symmetric(std::size_t n, std::uint64_t seed) {
+  perfdmf::util::Rng rng(seed);
+  std::vector<double> m(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = i; j < n; ++j) {
+      m[i * n + j] = m[j * n + i] = rng.uniform(-1.0, 1.0);
+    }
+  }
+  return m;
+}
+
+void expect_sorted_descending(const Eigen& eig) {
+  for (std::size_t k = 1; k < eig.values.size(); ++k) {
+    EXPECT_GE(eig.values[k - 1], eig.values[k]) << "at rank " << k;
+  }
+}
+
+}  // namespace
+
+TEST(SymmetricEigen, RandomMatricesReconstructAndStayOrthonormal) {
+  for (std::size_t n : {1u, 2u, 3u, 17u, 168u}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) + " seed=" + std::to_string(seed));
+      const auto a = random_symmetric(n, seed * 1000 + n);
+      const Eigen eig = decompose(a, n);
+      ASSERT_EQ(eig.values.size(), n);
+      ASSERT_EQ(eig.vectors.size(), n);
+      EXPECT_LE(reconstruction_error(a, n, eig), 1e-12);
+      EXPECT_LE(orthonormality_error(eig, n), 1e-12);
+      expect_sorted_descending(eig);
+    }
+  }
+}
+
+TEST(SymmetricEigen, RepeatedEigenvalues) {
+  // 3I + u u^T: eigenvalue 3 with multiplicity n-1, and 3 + |u|^2 along u.
+  const std::size_t n = 6;
+  const std::vector<double> u{1.0, 2.0, 0.0, -1.0, 0.5, 3.0};
+  double u_norm2 = 0.0;
+  for (double x : u) u_norm2 += x * x;
+  std::vector<double> a(n * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      a[i * n + j] = u[i] * u[j] + (i == j ? 3.0 : 0.0);
+    }
+  }
+  const Eigen eig = decompose(a, n);
+  EXPECT_NEAR(eig.values[0], 3.0 + u_norm2, 1e-12 * u_norm2);
+  for (std::size_t k = 1; k < n; ++k) EXPECT_NEAR(eig.values[k], 3.0, 1e-12);
+  double along_u = 0.0;
+  for (std::size_t i = 0; i < n; ++i) along_u += eig.vectors[0][i] * u[i];
+  EXPECT_NEAR(std::fabs(along_u), std::sqrt(u_norm2), 1e-12);
+  EXPECT_LE(reconstruction_error(a, n, eig), 1e-12);
+  EXPECT_LE(orthonormality_error(eig, n), 1e-12);
+}
+
+TEST(SymmetricEigen, ZeroMatrix) {
+  const std::size_t n = 5;
+  const std::vector<double> a(n * n, 0.0);
+  const Eigen eig = decompose(a, n);
+  for (double lambda : eig.values) EXPECT_EQ(lambda, 0.0);
+  EXPECT_LE(orthonormality_error(eig, n), 1e-12);
+}
+
+TEST(SymmetricEigen, DiagonalMatrixIsAlreadySolved) {
+  const std::vector<double> diagonal{2.0, -1.0, 7.0, 0.0, 3.5};
+  const std::size_t n = diagonal.size();
+  std::vector<double> a(n * n, 0.0);
+  for (std::size_t i = 0; i < n; ++i) a[i * n + i] = diagonal[i];
+  const Eigen eig = decompose(a, n);
+  const std::vector<double> expected{7.0, 3.5, 2.0, 0.0, -1.0};
+  const std::vector<std::size_t> axis{2, 4, 0, 3, 1};
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_EQ(eig.values[k], expected[k]);
+    EXPECT_EQ(std::fabs(eig.vectors[k][axis[k]]), 1.0) << "rank " << k;
+  }
+  EXPECT_LE(orthonormality_error(eig, n), 1e-12);
+}
+
+TEST(SymmetricEigen, RankDeficientExploreCovariance) {
+  // The explore workload's PCA input: 128 threads x (24 events x 7
+  // metrics) = 168 feature columns, so the covariance has rank <= 127
+  // and at least 41 eigenvalues that are zero up to rounding.
+  io::synth::ClusterSpec spec;
+  spec.threads = 128;
+  spec.event_count = 24;
+  spec.metric_count = 7;
+  auto planted = io::synth::generate_clustered_trial(spec);
+  auto features = thread_features(planted.trial);
+  ASSERT_EQ(features.rows, 128u);
+  ASSERT_EQ(features.cols, 168u);
+  auto result = pca(features.values, features.rows, features.cols);
+  const double top = result.eigenvalues[0];
+  ASSERT_GT(top, 0.0);
+  std::size_t near_zero = 0;
+  for (double lambda : result.eigenvalues) {
+    EXPECT_GE(lambda, -1e-9 * top);
+    if (std::fabs(lambda) <= 1e-9 * top) ++near_zero;
+  }
+  EXPECT_GE(near_zero, 41u);
+  double ratio_sum = 0.0;
+  for (double ratio : result.explained_variance_ratio) ratio_sum += ratio;
+  EXPECT_NEAR(ratio_sum, 1.0, 1e-12);
+}
+
+TEST(SymmetricEigen, BadSizeThrows) {
+  std::vector<double> values;
+  std::vector<std::vector<double>> vectors;
+  EXPECT_THROW(symmetric_eigen({}, 0, values, vectors), InvalidArgument);
+  EXPECT_THROW(symmetric_eigen({1.0, 2.0, 3.0}, 2, values, vectors),
+               InvalidArgument);
 }
 
 // ------------------------------------------------------------- correlation

@@ -606,3 +606,82 @@ TEST(SqldbConcurrent, CheckpointDuringConcurrentReads) {
   rs.next();
   EXPECT_EQ(rs.get_int(1), 74);
 }
+
+TEST(SqldbConcurrent, GroupCommitAcknowledgedCommitsSurviveReopen) {
+  // Four threads commit under SyncMode::kAlways, alternating autocommit
+  // INSERTs with BEGIN/INSERT/INSERT/COMMIT transactions. Each commit's
+  // fsync is deferred until its locks are released, then awaited through
+  // Wal::wait_durable, where concurrent committers share a leader's
+  // fsync. Every commit that returned must be present after a reopen.
+  util::ScopedTempDir dir;
+  sqldb::DurabilityOptions durability;
+  durability.sync = sqldb::SyncMode::kAlways;
+  auto database = std::make_shared<sqldb::Database>(dir.path(), durability);
+  {
+    sqldb::Connection setup(database);
+    setup.execute_update(
+        "CREATE TABLE t (id INTEGER PRIMARY KEY, worker INTEGER, n INTEGER)");
+  }
+  auto& registry = telemetry::MetricsRegistry::instance();
+  auto& group_commits = registry.counter("wal.group_commit.commits");
+  auto& fsyncs = registry.histogram("sqldb.wal.fsync_micros");
+  const std::uint64_t commits_before = group_commits.value();
+  const std::uint64_t fsyncs_before = fsyncs.count();
+
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 40;
+  std::vector<std::vector<int>> acknowledged(kThreads);
+  std::atomic<int> failures{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < kThreads; ++w) {
+    workers.emplace_back([&, w] {
+      try {
+        sqldb::Connection conn(database);
+        auto insert = conn.prepare("INSERT INTO t (worker, n) VALUES (?, ?)");
+        for (int round = 0; round < kRounds; ++round) {
+          const int n = 2 * round;
+          if (round % 2 == 0) {
+            insert.set_int(1, w);
+            insert.set_int(2, n);
+            insert.execute_update();
+          } else {
+            conn.execute_update("BEGIN");
+            for (int k = n; k < n + 2; ++k) {
+              insert.set_int(1, w);
+              insert.set_int(2, k);
+              insert.execute_update();
+            }
+            conn.execute_update("COMMIT");
+          }
+          acknowledged[w].push_back(round);
+        }
+      } catch (...) {
+        ++failures;
+      }
+    });
+  }
+  for (auto& t : workers) t.join();
+  ASSERT_EQ(failures.load(), 0);
+
+  const std::uint64_t commits = kThreads * kRounds;
+  if (telemetry::compiled_in()) {
+    EXPECT_EQ(group_commits.value() - commits_before, commits);
+    EXPECT_LE(fsyncs.count() - fsyncs_before, commits);
+  }
+
+  database.reset();
+  sqldb::Connection reopened(dir.path());
+  std::set<std::pair<std::int64_t, std::int64_t>> present;
+  auto rs = reopened.execute("SELECT worker, n FROM t");
+  while (rs.next()) present.emplace(rs.get_int(1), rs.get_int(2));
+  for (int w = 0; w < kThreads; ++w) {
+    for (int round : acknowledged[w]) {
+      const int n = 2 * round;
+      EXPECT_TRUE(present.count({w, n})) << "worker " << w << " n " << n;
+      if (round % 2 == 1) {
+        EXPECT_TRUE(present.count({w, n + 1})) << "worker " << w << " n " << n + 1;
+      }
+    }
+  }
+  EXPECT_EQ(present.size(), static_cast<std::size_t>(kThreads * kRounds * 3 / 2));
+}

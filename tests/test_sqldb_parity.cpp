@@ -5,13 +5,20 @@
 // NULL join keys (NULL must never hash-match NULL) and duplicate-key
 // joins. Queries without a total ORDER BY are compared as sorted
 // multisets, since row order is not contractual there.
+//
+// The index-probe join tests compare the planner's index-nested-loop
+// choice (small left side, right side indexed on the join key) against
+// the hash join the same query gets over an identical unindexed table.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
 #include <vector>
 
+#include "api/database_session.h"
+#include "io/synth.h"
 #include "sqldb/connection.h"
+#include "util/rng.h"
 
 using namespace perfdmf::sqldb;
 
@@ -201,6 +208,182 @@ TEST_F(ParityTest, HavingWithOrderByPosition) {
 
 TEST_F(ParityTest, AggregateOverEmptyInput) {
   expect_parity("SELECT COUNT(*), SUM(excl) FROM ilp WHERE node = 999");
+}
+
+std::string explain_plan(Connection& conn, const std::string& sql,
+                         const Params& params = {}) {
+  auto rs = conn.execute("EXPLAIN " + sql, params);
+  std::string plan;
+  while (rs.next()) plan += rs.get_string(1) + "\n";
+  return plan;
+}
+
+std::vector<std::vector<std::string>> sorted_rows(Connection& conn,
+                                                  const std::string& sql) {
+  auto rs = conn.execute(sql);
+  auto rows = materialize(rs);
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+/// Random parent/child tables in two copies: `child_idx` indexes both
+/// join keys, `child_hash` indexes neither. Keys include NULLs, reals
+/// equal to the parents' integer keys (3.0 vs 3), reals between them,
+/// and keys no parent has; updates and deletes leave index entries whose
+/// slots no longer carry the key.
+void fill_join_tables(Connection& conn, std::uint64_t seed) {
+  conn.execute_update(
+      "CREATE TABLE parent (id INTEGER PRIMARY KEY, tag INTEGER)");
+  conn.execute_update("CREATE TABLE lreal (k REAL, tag INTEGER)");
+  for (const char* child : {"child_idx", "child_hash"}) {
+    conn.execute_update(std::string("CREATE TABLE ") + child +
+                        " (id INTEGER PRIMARY KEY, pid REAL, iid INTEGER,"
+                        " val INTEGER)");
+  }
+  conn.execute_update("CREATE INDEX child_idx_pid ON child_idx (pid)");
+  conn.execute_update("CREATE INDEX child_idx_iid ON child_idx (iid)");
+
+  perfdmf::util::Rng rng(seed);
+  constexpr int kParents = 24;
+  auto parent = conn.prepare("INSERT INTO parent (id, tag) VALUES (?, ?)");
+  for (int id = 1; id <= kParents; ++id) {
+    parent.set_int(1, id);
+    parent.set_int(2, static_cast<std::int64_t>(rng.uniform(0.0, 5.0)));
+    parent.execute_update();
+  }
+  auto lreal = conn.prepare("INSERT INTO lreal (k, tag) VALUES (?, ?)");
+  for (int i = 0; i < 16; ++i) {
+    const double u = rng.next_double();
+    if (u < 0.2) {
+      lreal.set_null(1);
+    } else if (u < 0.4) {
+      lreal.set_double(1, static_cast<int>(rng.uniform(1.0, 30.0)) + 0.5);
+    } else {
+      lreal.set_double(1, static_cast<int>(rng.uniform(1.0, 30.0)));
+    }
+    lreal.set_int(2, static_cast<std::int64_t>(rng.uniform(0.0, 5.0)));
+    lreal.execute_update();
+  }
+
+  auto idx = conn.prepare(
+      "INSERT INTO child_idx (id, pid, iid, val) VALUES (?, ?, ?, ?)");
+  auto hash = conn.prepare(
+      "INSERT INTO child_hash (id, pid, iid, val) VALUES (?, ?, ?, ?)");
+  for (int id = 1; id <= 2000; ++id) {
+    const double u = rng.next_double();
+    const int key = static_cast<int>(rng.uniform(1.0, 30.0));  // 25..29: no parent
+    const bool null_pid = u < 0.1;
+    const bool half_pid = u > 0.9;  // 3.5: equals no integer key
+    const bool null_iid = rng.next_double() < 0.1;
+    const auto val = static_cast<std::int64_t>(rng.uniform(0.0, 100.0));
+    for (PreparedStatement* ins : {&idx, &hash}) {
+      ins->set_int(1, id);
+      if (null_pid) {
+        ins->set_null(2);
+      } else {
+        ins->set_double(2, key + (half_pid ? 0.5 : 0.0));
+      }
+      if (null_iid) {
+        ins->set_null(3);
+      } else {
+        ins->set_int(3, key);
+      }
+      ins->set_int(4, val);
+      ins->execute_update();
+    }
+  }
+  for (const char* child : {"child_idx", "child_hash"}) {
+    conn.execute_update(std::string("UPDATE ") + child +
+                        " SET pid = pid + 1, iid = iid - 1 WHERE id % 7 = 0");
+    conn.execute_update(std::string("DELETE FROM ") + child +
+                        " WHERE id % 11 = 0");
+  }
+}
+
+TEST(IndexProbeJoin, MatchesHashJoinOnRandomTables) {
+  // Each query is written against child_X; the indexed copy must plan an
+  // index probe, the unindexed copy a hash join, and both must return
+  // the same multiset of rows.
+  const std::vector<std::string> queries = {
+      "SELECT p.id, p.tag, c.id, c.val FROM parent p"
+      " JOIN child_X c ON c.pid = p.id",
+      "SELECT p.id, c.id FROM parent p JOIN child_X c ON p.id = c.iid"
+      " WHERE p.tag < 3",
+      "SELECT p.id, p.tag, c.id, c.val FROM parent p"
+      " LEFT JOIN child_X c ON c.pid = p.id",
+      "SELECT p.id, c.id, c.val FROM parent p"
+      " JOIN child_X c ON c.iid = p.id AND c.val > 40 AND c.val > p.tag * 10",
+      "SELECT p.id, c.id, c.val FROM parent p"
+      " LEFT JOIN child_X c ON c.pid = p.id AND c.val < 50",
+      "SELECT l.k, l.tag, c.id FROM lreal l JOIN child_X c ON c.iid = l.k",
+      "SELECT l.k, l.tag, c.id FROM lreal l JOIN child_X c ON c.pid = l.k",
+      "SELECT l.k, c.id, c.val FROM lreal l"
+      " LEFT JOIN child_X c ON l.k = c.pid AND c.val >= l.tag * 20",
+      "SELECT p.id, COUNT(c.id), SUM(c.val) FROM parent p"
+      " LEFT JOIN child_X c ON c.iid = p.id GROUP BY p.id",
+  };
+  auto with = [](std::string sql, const std::string& table) {
+    const auto at = sql.find("child_X");
+    return sql.replace(at, 7, table);
+  };
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    Connection conn;
+    fill_join_tables(conn, seed);
+    for (const auto& query : queries) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ": " + query);
+      const std::string probed = with(query, "child_idx");
+      const std::string hashed = with(query, "child_hash");
+      EXPECT_NE(explain_plan(conn, probed).find("join c: index-nested-loop"),
+                std::string::npos);
+      EXPECT_NE(explain_plan(conn, hashed).find("join c: hash"),
+                std::string::npos);
+      const auto expected = sorted_rows(conn, hashed);
+      EXPECT_FALSE(expected.empty());
+      EXPECT_EQ(sorted_rows(conn, probed), expected);
+    }
+  }
+}
+
+TEST(IndexProbeJoin, LargeLeftSideKeepsHashJoin) {
+  // ~1,800 left rows x ceil(log2 24) probes of parent's primary-key index
+  // cost more than reading its 24 rows once.
+  Connection conn;
+  fill_join_tables(conn, 7);
+  const std::string sql =
+      "SELECT c.id, p.id FROM child_idx c JOIN parent p ON p.id = c.iid";
+  EXPECT_NE(explain_plan(conn, sql).find("join p: hash build=right"),
+            std::string::npos);
+}
+
+TEST(IndexProbeJoin, PerTrialAggregateProbesOnTenTrialArchive) {
+  perfdmf::api::DatabaseSession archive;
+  std::int64_t trial = -1;
+  for (int i = 0; i < 10; ++i) {
+    perfdmf::io::synth::TrialSpec spec;
+    spec.nodes = 16;
+    spec.seed = static_cast<std::uint64_t>(i);
+    spec.name = "trial_" + std::to_string(i);
+    trial = archive.save_trial(perfdmf::io::synth::generate_trial(spec), "app",
+                               "exp");
+  }
+  auto& conn = *archive.api().connection_ptr();
+  auto rs = conn.execute("SELECT MIN(id) FROM interval_event WHERE trial = ?",
+                         {Value(trial)});
+  ASSERT_TRUE(rs.next());
+  const Params params{Value(trial), Value(rs.get_int(1))};
+  // The text DatabaseAPI::aggregate_interval_column sends.
+  const std::string plan = explain_plan(
+      conn,
+      "SELECT COUNT(p.exclusive), MIN(p.exclusive), MAX(p.exclusive),"
+      " AVG(p.exclusive), STDDEV(p.exclusive) FROM interval_event e"
+      " JOIN interval_location_profile p ON p.interval_event = e.id"
+      " WHERE e.trial = ? AND e.id = ?",
+      params);
+  EXPECT_NE(plan.find("join p: index-nested-loop"), std::string::npos) << plan;
+  const auto summary =
+      archive.api().aggregate_interval_column(trial, params[1].as_int(),
+                                              "exclusive");
+  EXPECT_EQ(summary.count, 16u);
 }
 
 }  // namespace
