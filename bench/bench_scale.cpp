@@ -19,6 +19,8 @@
 #include "api/database_session.h"
 #include "bench_json.h"
 #include "io/synth.h"
+#include "telemetry/metrics.h"
+#include "util/file.h"
 #include "util/timer.h"
 
 using namespace perfdmf;
@@ -88,6 +90,38 @@ int main(int argc, char** argv) {
               sizes.back(), sizes.front(), load_growth);
   std::printf("paper claim: 16384 procs x 101 events = ~1.65M points handled"
               " without problems\n");
+
+  // Work counts of the E1 load, from the engine's own registry: SQL
+  // statements and WAL bytes per point over a file-backed load of the
+  // smallest size (both are per-row constants of the upload path).
+  // Machine load does not move them, so perfguard can gate them where
+  // wall time is too noisy to gate tightly.
+  {
+    io::synth::TrialSpec spec;
+    spec.name = "miranda.wal";
+    spec.nodes = sizes.front();
+    spec.event_count = 101;
+    spec.imbalance = 0.08;
+    const auto trial = io::synth::generate_trial(spec);
+    const double points = static_cast<double>(trial.interval_point_count());
+    auto& registry = telemetry::MetricsRegistry::instance();
+    const auto& statements = registry.histogram("sqldb.statement.total_micros");
+    const auto& wal_bytes = registry.counter("sqldb.wal.bytes");
+    util::ScopedTempDir dir;
+    api::DatabaseSession session(dir.path() / "archive");
+    const std::uint64_t statements_before = statements.count();
+    const std::uint64_t wal_bytes_before = wal_bytes.value();
+    session.save_trial(trial, "miranda", "bgl");
+    const double statements_per_row =
+        static_cast<double>(statements.count() - statements_before) / points;
+    const double wal_bytes_per_row =
+        static_cast<double>(wal_bytes.value() - wal_bytes_before) / points;
+    std::printf("\nE1 load work at %d procs: %.4f statements/row, %.1f WAL "
+                "bytes/row\n",
+                sizes.front(), statements_per_row, wal_bytes_per_row);
+    json.set("load_statements_per_row", statements_per_row);
+    json.set("load_wal_bytes_per_row", wal_bytes_per_row);
+  }
 
   // ---- E1b: many experiments in one archive ---------------------------
   // Paper objective: "Handle large-scale profile data and large numbers

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
+#include <optional>
 
 #include "api/schema_bootstrap.h"
 #include "telemetry/metrics.h"
@@ -67,6 +69,92 @@ class ScopedTransaction {
   bool owned_;
   bool done_ = false;
 };
+
+/// Roll back the calling thread's transaction if it is still open: a
+/// commit() that failed has already ended it and released its lock.
+void rollback_if_open(sqldb::Connection& connection) {
+  if (connection.database().locks().owned_by_this_thread()) connection.rollback();
+}
+
+/// Rows per multi-row INSERT in the bulk upload: enough that the
+/// per-statement costs (governance, plan binding, the WAL frame's SQL
+/// text) are spread thin, few enough that one statement's parameters stay
+/// bounded on E1-sized trials.
+constexpr std::size_t kRowsPerInsert = 128;
+
+/// Sends one table's rows as multi-row INSERTs of at most kRowsPerInsert
+/// rows, in the order they are added, so RowIds are assigned as a
+/// row-at-a-time loop would assign them. The full-size statement is
+/// prepared once; the final partial one once, by finish().
+class RowBatcher {
+ public:
+  RowBatcher(sqldb::Connection& connection, const std::string& table,
+             const std::vector<std::string>& columns)
+      : connection_(connection),
+        head_("INSERT INTO " + table + " (" + util::join(columns, ", ") +
+              ") VALUES "),
+        width_(columns.size()) {
+    pending_.reserve(kRowsPerInsert * width_);
+  }
+
+  void add(std::initializer_list<Value> row) {
+    pending_.insert(pending_.end(), row);
+    if (pending_.size() == kRowsPerInsert * width_) {
+      if (!full_) full_.emplace(connection_, insert_sql(kRowsPerInsert));
+      send(*full_);
+    }
+  }
+
+  /// Send the rows still pending; call once, after the last add().
+  void finish() {
+    if (pending_.empty()) return;
+    auto stmt = connection_.prepare(insert_sql(pending_.size() / width_));
+    send(stmt);
+  }
+
+ private:
+  std::string insert_sql(std::size_t rows) const {
+    std::string tuple = "(?";
+    for (std::size_t c = 1; c < width_; ++c) tuple += ",?";
+    tuple += ')';
+    std::string sql = head_;
+    sql.reserve(head_.size() + rows * (tuple.size() + 1));
+    for (std::size_t r = 0; r < rows; ++r) {
+      if (r) sql += ',';
+      sql += tuple;
+    }
+    return sql;
+  }
+
+  void send(sqldb::PreparedStatement& stmt) {
+    for (std::size_t i = 0; i < pending_.size(); ++i) {
+      stmt.set_value(i + 1, std::move(pending_[i]));
+    }
+    stmt.execute_update();
+    pending_.clear();
+  }
+
+  sqldb::Connection& connection_;
+  std::string head_;  // "INSERT INTO <table> (<columns>) VALUES "
+  std::size_t width_;
+  Params pending_;
+  std::optional<sqldb::PreparedStatement> full_;
+};
+
+const std::vector<std::string> kIntervalProfileColumns = {
+    "interval_event", "node", "context", "thread", "metric",
+    "inclusive_percentage", "inclusive", "exclusive_percentage", "exclusive",
+    "inclusive_per_call", "num_calls", "num_subrs"};
+
+void add_interval_row(RowBatcher& rows, std::int64_t event_id,
+                      const profile::ThreadId& thread, std::int64_t metric_id,
+                      const profile::IntervalDataPoint& p) {
+  rows.add({Value(event_id), Value(std::int64_t{thread.node}),
+            Value(std::int64_t{thread.context}), Value(std::int64_t{thread.thread}),
+            Value(metric_id), Value(p.inclusive_pct), Value(p.inclusive),
+            Value(p.exclusive_pct), Value(p.exclusive), Value(p.inclusive_per_call),
+            Value(p.num_calls), Value(p.num_subrs)});
+}
 
 }  // namespace
 
@@ -354,7 +442,7 @@ void DatabaseAPI::delete_trial(std::int64_t trial_id) {
     run_for("DELETE FROM trial WHERE id = ?", {trial_id});
     connection_->commit();
   } catch (...) {
-    connection_->rollback();
+    rollback_if_open(*connection_);
     throw;
   }
 }
@@ -376,133 +464,94 @@ std::int64_t DatabaseAPI::upload_trial(const profile::TrialData& data,
     // Metrics.
     std::vector<std::int64_t> metric_ids;
     {
-      auto stmt = connection_->prepare(
-          "INSERT INTO metric (trial, name, derived) VALUES (?, ?, ?)");
+      RowBatcher rows(*connection_, "metric", {"trial", "name", "derived"});
       for (const auto& metric : data.metrics()) {
-        stmt.set_int(1, trial.id);
-        stmt.set_string(2, metric.name);
-        stmt.set_int(3, metric.derived ? 1 : 0);
-        stmt.execute_update();
+        rows.add({Value(trial.id), Value(metric.name),
+                  Value(std::int64_t{metric.derived ? 1 : 0})});
       }
+      rows.finish();
       auto rs = connection_->execute(
           "SELECT id FROM metric WHERE trial = " + std::to_string(trial.id) +
           " ORDER BY id");
       while (rs.next()) metric_ids.push_back(rs.get_int(1));
     }
 
-    // Interval events.
-    std::vector<std::int64_t> event_ids;
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO interval_event (trial, name, group_name) VALUES (?, ?, ?)");
-      for (const auto& event : data.events()) {
-        stmt.set_int(1, trial.id);
-        stmt.set_string(2, event.name);
-        stmt.set_string(3, event.group);
-        stmt.execute_update();
+    // Interval and atomic events.
+    auto insert_events = [&](const std::string& table, const auto& events) {
+      RowBatcher rows(*connection_, table, {"trial", "name", "group_name"});
+      for (const auto& event : events) {
+        rows.add({Value(trial.id), Value(event.name), Value(event.group)});
       }
-      auto rs = connection_->execute(
-          "SELECT id FROM interval_event WHERE trial = " +
-          std::to_string(trial.id) + " ORDER BY id");
-      while (rs.next()) event_ids.push_back(rs.get_int(1));
-    }
-
-    // Atomic events.
-    std::vector<std::int64_t> atomic_ids;
-    {
-      auto stmt = connection_->prepare(
-          "INSERT INTO atomic_event (trial, name, group_name) VALUES (?, ?, ?)");
-      for (const auto& event : data.atomic_events()) {
-        stmt.set_int(1, trial.id);
-        stmt.set_string(2, event.name);
-        stmt.set_string(3, event.group);
-        stmt.execute_update();
-      }
-      auto rs = connection_->execute("SELECT id FROM atomic_event WHERE trial = " +
+      rows.finish();
+      std::vector<std::int64_t> ids;
+      auto rs = connection_->execute("SELECT id FROM " + table + " WHERE trial = " +
                                      std::to_string(trial.id) + " ORDER BY id");
-      while (rs.next()) atomic_ids.push_back(rs.get_int(1));
-    }
+      while (rs.next()) ids.push_back(rs.get_int(1));
+      return ids;
+    };
+    const std::vector<std::int64_t> event_ids =
+        insert_events("interval_event", data.events());
+    const std::vector<std::int64_t> atomic_ids =
+        insert_events("atomic_event", data.atomic_events());
 
     // Location profiles (the bulk of the data: one row per point).
     {
-      auto stmt = connection_->prepare(
-          "INSERT INTO interval_location_profile (interval_event, node, context,"
-          " thread, metric, inclusive_percentage, inclusive,"
-          " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-          " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
+      RowBatcher rows(*connection_, "interval_location_profile",
+                      kIntervalProfileColumns);
       data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
                                  const profile::IntervalDataPoint& p) {
-        const profile::ThreadId& id = data.threads()[t];
-        stmt.set_int(1, event_ids.at(e));
-        stmt.set_int(2, id.node);
-        stmt.set_int(3, id.context);
-        stmt.set_int(4, id.thread);
-        stmt.set_int(5, metric_ids.at(m));
-        stmt.set_double(6, p.inclusive_pct);
-        stmt.set_double(7, p.inclusive);
-        stmt.set_double(8, p.exclusive_pct);
-        stmt.set_double(9, p.exclusive);
-        stmt.set_double(10, p.inclusive_per_call);
-        stmt.set_double(11, p.num_calls);
-        stmt.set_double(12, p.num_subrs);
-        stmt.execute_update();
+        add_interval_row(rows, event_ids.at(e), data.threads()[t],
+                         metric_ids.at(m), p);
       });
+      rows.finish();
     }
 
     // Total & mean summary tables.
     {
-      const auto summaries = profile::compute_interval_summaries(data);
-      auto insert_summary = [&](const char* table,
-                                const profile::IntervalSummary& s,
-                                const profile::IntervalDataPoint& p) {
-        auto stmt = connection_->prepare(
-            std::string("INSERT INTO ") + table +
-            " (interval_event, metric, inclusive_percentage, inclusive,"
-            " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-            " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
-        stmt.set_int(1, event_ids.at(s.event_index));
-        stmt.set_int(2, metric_ids.at(s.metric_index));
-        stmt.set_double(3, p.inclusive_pct);
-        stmt.set_double(4, p.inclusive);
-        stmt.set_double(5, p.exclusive_pct);
-        stmt.set_double(6, p.exclusive);
-        stmt.set_double(7, p.inclusive_per_call);
-        stmt.set_double(8, p.num_calls);
-        stmt.set_double(9, p.num_subrs);
-        stmt.execute_update();
+      const std::vector<std::string> columns = {
+          "interval_event", "metric", "inclusive_percentage", "inclusive",
+          "exclusive_percentage", "exclusive", "inclusive_per_call",
+          "num_calls", "num_subrs"};
+      RowBatcher totals(*connection_, "interval_total_summary", columns);
+      RowBatcher means(*connection_, "interval_mean_summary", columns);
+      auto add_summary = [&](RowBatcher& rows, const profile::IntervalSummary& s,
+                             const profile::IntervalDataPoint& p) {
+        rows.add({Value(event_ids.at(s.event_index)),
+                  Value(metric_ids.at(s.metric_index)), Value(p.inclusive_pct),
+                  Value(p.inclusive), Value(p.exclusive_pct), Value(p.exclusive),
+                  Value(p.inclusive_per_call), Value(p.num_calls),
+                  Value(p.num_subrs)});
       };
+      const auto summaries = profile::compute_interval_summaries(data);
       for (const auto& s : summaries) {
-        insert_summary("interval_total_summary", s, s.total);
-        insert_summary("interval_mean_summary", s, s.mean);
+        add_summary(totals, s, s.total);
+        add_summary(means, s, s.mean);
       }
+      totals.finish();
+      means.finish();
       uploaded_rows += 2 * summaries.size();
     }
 
     // Atomic location profiles.
     {
-      auto stmt = connection_->prepare(
-          "INSERT INTO atomic_location_profile (atomic_event, node, context,"
-          " thread, sample_count, maximum_value, minimum_value, mean_value,"
-          " standard_deviation) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)");
+      RowBatcher rows(*connection_, "atomic_location_profile",
+                      {"atomic_event", "node", "context", "thread",
+                       "sample_count", "maximum_value", "minimum_value",
+                       "mean_value", "standard_deviation"});
       data.for_each_atomic([&](std::size_t a, std::size_t t,
                                const profile::AtomicDataPoint& p) {
         const profile::ThreadId& id = data.threads()[t];
-        stmt.set_int(1, atomic_ids.at(a));
-        stmt.set_int(2, id.node);
-        stmt.set_int(3, id.context);
-        stmt.set_int(4, id.thread);
-        stmt.set_double(5, p.sample_count);
-        stmt.set_double(6, p.maximum);
-        stmt.set_double(7, p.minimum);
-        stmt.set_double(8, p.mean);
-        stmt.set_double(9, p.std_dev);
-        stmt.execute_update();
+        rows.add({Value(atomic_ids.at(a)), Value(std::int64_t{id.node}),
+                  Value(std::int64_t{id.context}), Value(std::int64_t{id.thread}),
+                  Value(p.sample_count), Value(p.maximum), Value(p.minimum),
+                  Value(p.mean), Value(p.std_dev)});
       });
+      rows.finish();
     }
 
     connection_->commit();
   } catch (...) {
-    connection_->rollback();
+    rollback_if_open(*connection_);
     // Remove the orphaned trial row written before the transaction.
     auto stmt = connection_->prepare("DELETE FROM trial WHERE id = ?");
     stmt.set_int(1, trial.id);
@@ -795,34 +844,19 @@ std::int64_t DatabaseAPI::save_derived_metric(std::int64_t trial_id,
       rs.next();
       metric_id = rs.get_int(1);
     }
-    auto stmt = connection_->prepare(
-        "INSERT INTO interval_location_profile (interval_event, node, context,"
-        " thread, metric, inclusive_percentage, inclusive,"
-        " exclusive_percentage, exclusive, inclusive_per_call, num_calls,"
-        " num_subrs) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)");
+    RowBatcher rows(*connection_, "interval_location_profile",
+                    kIntervalProfileColumns);
     data.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
                                const profile::IntervalDataPoint& p) {
       if (m != *metric_index) return;
       auto it = event_id_of.find(data.events()[e].name);
       if (it == event_id_of.end()) return;  // event unknown to the trial
-      const profile::ThreadId& id = data.threads()[t];
-      stmt.set_int(1, it->second);
-      stmt.set_int(2, id.node);
-      stmt.set_int(3, id.context);
-      stmt.set_int(4, id.thread);
-      stmt.set_int(5, metric_id);
-      stmt.set_double(6, p.inclusive_pct);
-      stmt.set_double(7, p.inclusive);
-      stmt.set_double(8, p.exclusive_pct);
-      stmt.set_double(9, p.exclusive);
-      stmt.set_double(10, p.inclusive_per_call);
-      stmt.set_double(11, p.num_calls);
-      stmt.set_double(12, p.num_subrs);
-      stmt.execute_update();
+      add_interval_row(rows, it->second, data.threads()[t], metric_id, p);
     });
+    rows.finish();
     connection_->commit();
   } catch (...) {
-    connection_->rollback();
+    rollback_if_open(*connection_);
     throw;
   }
   return metric_id;

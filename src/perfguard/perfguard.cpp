@@ -77,7 +77,7 @@ BenchRun load_bench_file(const std::filesystem::path& path) {
 }
 
 bool lower_is_better(std::string_view metric) {
-  for (std::string_view suffix : {"_ms", "_micros", "_us", "_ns"}) {
+  for (std::string_view suffix : {"_ms", "_micros", "_us", "_ns", "_per_row"}) {
     if (metric.size() > suffix.size() &&
         metric.substr(metric.size() - suffix.size()) == suffix) {
       return true;

@@ -49,8 +49,8 @@ struct BenchRun {
 BenchRun parse_bench_json(std::string_view text);
 BenchRun load_bench_file(const std::filesystem::path& path);
 
-/// True when smaller values of `metric` are better (latency-shaped
-/// names); false for throughput/ratio-shaped names.
+/// True when smaller values of `metric` are better (latency-shaped names
+/// and work per row, `*_per_row`); false for throughput/ratio-shaped names.
 bool lower_is_better(std::string_view metric);
 
 /// A gate rule "bench:metric"; either side may carry one '*' anywhere

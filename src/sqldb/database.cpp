@@ -1033,7 +1033,7 @@ std::string Database::render_snapshot(std::uint64_t watermark) const {
       out += "COL " + column.name + " " + value_type_name(column.type) + " " +
              (column.not_null ? "1" : "0") + " " + (column.primary_key ? "1" : "0") +
              " " + (column.auto_increment ? "1" : "0") + "\n";
-      out += encode_value(column.default_value);
+      encode_value(out, column.default_value);
     }
     out += "FKS " + std::to_string(schema.foreign_keys().size()) + "\n";
     for (const auto& fk : schema.foreign_keys()) {
@@ -1041,7 +1041,7 @@ std::string Database::render_snapshot(std::uint64_t watermark) const {
     }
     out += "ROWS " + std::to_string(t.live_row_count()) + "\n";
     t.scan([&](RowId, const Row& row) {
-      for (const auto& value : row) out += encode_value(value);
+      for (const auto& value : row) encode_value(out, value);
     });
   }
   char sum[32];

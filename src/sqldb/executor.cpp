@@ -556,23 +556,31 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     explain->add("from " + base_alias + ": " + describe_access_path(base, path));
   }
   const auto from_start = rec.begin();
-  const std::vector<RowId> candidates = fetch_access_path(base, path, view);
-
-  ws.rows.reserve(candidates.size());
-  for (const Row* row : base.fetch_many(candidates, view)) {
+  std::uint64_t from_rows_in = 0;
+  auto consider = [&](const Row& row) {
     if (ctx != nullptr) ctx->poll();
-    if (row == nullptr) continue;
-    bool keep = true;
     for (const Expr* conjunct : pushed) {
-      if (!is_truthy(eval_expr(*conjunct, *row, params))) {
-        keep = false;
-        break;
-      }
+      if (!is_truthy(eval_expr(*conjunct, row, params))) return;
     }
-    if (keep) ws.rows.push_back(*row);
+    ws.rows.push_back(row);
+  };
+  if (path.kind == AccessPath::Kind::kScan) {
+    // The scan already resolves each slot's visible version: build the
+    // working set in that one walk.
+    ws.rows.reserve(base.live_row_count());
+    base.scan(view, [&](RowId, const Row& row) {
+      ++from_rows_in;
+      consider(row);
+    });
+  } else {
+    const std::vector<RowId> candidates = fetch_access_path(base, path, view);
+    from_rows_in = candidates.size();
+    ws.rows.reserve(candidates.size());
+    for (const Row* row : base.fetch_many(candidates, view)) {
+      if (row != nullptr) consider(*row);
+    }
   }
-  rec.record("from " + base_alias, from_start, candidates.size(),
-             ws.rows.size());
+  rec.record("from " + base_alias, from_start, from_rows_in, ws.rows.size());
 
   // Joins. An equi-join conjunct (existing_col = right_col) in the ON
   // clause selects an index-nested-loop when the right side has an index

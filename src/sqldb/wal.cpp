@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -37,20 +38,42 @@ DurabilityOptions DurabilityOptions::from_env() {
   return opts;
 }
 
-std::string encode_value(const Value& v) {
+namespace {
+void append_decimal(std::string& out, std::int64_t n) {
+  char digits[24];
+  out.append(digits, std::to_chars(digits, digits + sizeof digits, n).ptr);
+}
+}  // namespace
+
+void encode_value(std::string& out, const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
-      return "N\n";
+      out += "N\n";
+      return;
     case ValueType::kInt:
-      return "I " + std::to_string(v.as_int()) + "\n";
+      out += "I ";
+      append_decimal(out, v.as_int());
+      out += '\n';
+      return;
     case ValueType::kReal: {
-      char buffer[64];
-      std::snprintf(buffer, sizeof buffer, "R %.17g\n", v.as_real());
-      return buffer;
+      // Shortest decimal that reads back to the same double: lossless, and
+      // decode_value's from_chars reads it as it reads the longer %.17g
+      // form older logs and snapshots hold.
+      char digits[32];
+      out += "R ";
+      out.append(digits,
+                 std::to_chars(digits, digits + sizeof digits, v.as_real()).ptr);
+      out += '\n';
+      return;
     }
     case ValueType::kText: {
       const std::string& text = v.as_text();
-      return "T " + std::to_string(text.size()) + " " + text + "\n";
+      out += "T ";
+      append_decimal(out, static_cast<std::int64_t>(text.size()));
+      out += ' ';
+      out += text;
+      out += '\n';
+      return;
     }
   }
   throw DbError("unencodable value");
@@ -312,27 +335,57 @@ Wal::~Wal() {
 }
 
 namespace {
-std::string encode_statement_frame(std::string_view sql, const Params& params) {
-  std::string frame = "S " + std::to_string(sql.size()) + "\n";
-  frame.append(sql);
-  frame += "\nP " + std::to_string(params.size()) + "\n";
-  for (const auto& p : params) frame += encode_value(p);
-  return frame;
+/// Room left in front of a record's payload for its header
+/// "R <seq> <crc32-hex8> <payload-len>\n" (at most 53 bytes: two 20-digit
+/// numbers, 8 hex digits and 5 other characters), which is known only once
+/// the payload is complete.
+constexpr std::size_t kHeaderRoom = 56;
+
+/// A record buffer with the header room reserved and `payload_bytes`
+/// more capacity, so the payload is encoded in place.
+std::string start_record(std::size_t payload_bytes) {
+  std::string buffer;
+  buffer.reserve(kHeaderRoom + payload_bytes);
+  buffer.resize(kHeaderRoom);
+  return buffer;
 }
 
-std::string frame_record(std::uint64_t seq, const std::string& payload) {
-  char header[64];
-  std::snprintf(header, sizeof header, "R %llu %08x %zu\n",
-                static_cast<unsigned long long>(seq), util::crc32(payload),
-                payload.size());
-  return header + payload;
+/// Bytes a statement frame is expected to take (a capacity hint).
+std::size_t frame_size_hint(std::string_view sql, const Params& params) {
+  std::size_t bytes = sql.size() + 32;
+  for (const auto& p : params) {
+    bytes += p.type() == ValueType::kText ? p.as_text().size() + 24 : 26;
+  }
+  return bytes;
+}
+
+void append_statement_frame(std::string& out, std::string_view sql,
+                            const Params& params) {
+  out += "S ";
+  append_decimal(out, static_cast<std::int64_t>(sql.size()));
+  out += '\n';
+  out.append(sql);
+  out += "\nP ";
+  append_decimal(out, static_cast<std::int64_t>(params.size()));
+  out += '\n';
+  for (const auto& p : params) encode_value(out, p);
+}
+
+/// Write the header for the payload that follows the header room into
+/// that room, right-aligned against the payload; returns the record.
+std::string_view seal_record(std::string& buffer, std::uint64_t seq) {
+  const std::string_view payload =
+      std::string_view(buffer).substr(kHeaderRoom);
+  char header[kHeaderRoom + 1];
+  const auto n = static_cast<std::size_t>(
+      std::snprintf(header, sizeof header, "R %llu %08x %zu\n",
+                    static_cast<unsigned long long>(seq), util::crc32(payload),
+                    payload.size()));
+  char* start = buffer.data() + kHeaderRoom - n;
+  std::memcpy(start, header, n);
+  return std::string_view(start, n + payload.size());
 }
 }  // namespace
-
-std::string Wal::encode_record(std::uint64_t seq, std::string_view sql,
-                               const Params& params) const {
-  return frame_record(seq, encode_statement_frame(sql, params) + "E\n");
-}
 
 void Wal::ensure_open() {
   if (fd_ < 0) {
@@ -365,7 +418,7 @@ void Wal::set_next_seq(std::uint64_t next) {
   seq_known_ = true;
 }
 
-void Wal::write_all(const std::string& buffer, const char* site) {
+void Wal::write_all(std::string_view buffer, const char* site) {
   if (auto fp = util::failpoint::evaluate(site)) {
     // Injected torn write: persist a prefix of the record, then die the
     // way a crash mid-append would.
@@ -425,7 +478,10 @@ std::uint64_t Wal::append(std::string_view sql, const Params& params,
                           bool defer_sync) {
   ensure_open();
   const std::uint64_t seq = next_seq_;
-  const std::string record = encode_record(seq, sql, params);
+  std::string buffer = start_record(frame_size_hint(sql, params) + 2);
+  append_statement_frame(buffer, sql, params);
+  buffer += "E\n";
+  const std::string_view record = seal_record(buffer, seq);
   write_all(record, "wal.append");
   ++next_seq_;
   written_seq_.store(seq, std::memory_order_release);
@@ -450,13 +506,20 @@ std::uint64_t Wal::append_batch(
   // The whole transaction is ONE record under one CRC, so a crash partway
   // through the commit write leaves a torn tail that replay discards
   // wholly — a commit is either entirely in the log or entirely absent.
-  std::string payload = "B " + std::to_string(records.size()) + "\n";
+  std::size_t payload_bytes = 32;
   for (const auto& [sql, params] : records) {
-    payload += encode_statement_frame(sql, params);
+    payload_bytes += frame_size_hint(sql, params);
   }
-  payload += "E\n";
+  std::string buffer = start_record(payload_bytes);
+  buffer += "B ";
+  append_decimal(buffer, static_cast<std::int64_t>(records.size()));
+  buffer += '\n';
+  for (const auto& [sql, params] : records) {
+    append_statement_frame(buffer, sql, params);
+  }
+  buffer += "E\n";
   const std::uint64_t seq = next_seq_;
-  const std::string record = frame_record(seq, payload);
+  const std::string_view record = seal_record(buffer, seq);
   write_all(record, "wal.commit");
   ++next_seq_;
   written_seq_.store(seq, std::memory_order_release);

@@ -54,8 +54,9 @@
 
 namespace perfdmf::sqldb {
 
-/// Encode a value on one line: "N", "I <int>", "R <%.17g>", "T <len> <bytes>".
-std::string encode_value(const Value& v);
+/// Append a value's encoding to `out`, on one line: "N", "I <int>",
+/// "R <shortest round-trip decimal>", "T <len> <bytes>".
+void encode_value(std::string& out, const Value& v);
 /// Decode from `text` starting at `pos`; advances pos past the record.
 Value decode_value(const std::string& text, std::size_t& pos);
 
@@ -149,13 +150,11 @@ class Wal {
   const std::filesystem::path& path() const { return path_; }
 
  private:
-  std::string encode_record(std::uint64_t seq, std::string_view sql,
-                            const Params& params) const;
   void ensure_open();
   /// Scan existing records to find the last assigned sequence number
   /// (standalone Wal use; Database sets it explicitly after replay).
   void recover_next_seq();
-  void write_all(const std::string& buffer, const char* site);
+  void write_all(std::string_view buffer, const char* site);
   void sync_now();
   /// Monotonically raise the durable mark (inline-sync paths).
   void advance_durable(std::uint64_t seq);

@@ -3,11 +3,15 @@
 // selective queries, derived metrics, analysis results.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+
 #include "api/database_api.h"
 #include "api/schema_bootstrap.h"
 #include "io/synth.h"
 #include "profile/derived.h"
 #include "util/error.h"
+#include "util/failpoint.h"
 #include "util/file.h"
 
 using namespace perfdmf;
@@ -433,6 +437,239 @@ TEST(ApiUpload, ExtendSchemaStoresTrialMetadataFields) {
   auto stored = api.get_trial(extended);
   EXPECT_EQ(stored->fields.at("OS"), "Linux");
   EXPECT_EQ(stored->fields.at("Hostname"), "bgl0042");
+}
+
+}  // namespace
+
+// ------------------------------------------- multi-row upload boundaries
+
+namespace {
+
+/// A trial with `points` interval points and as many atomic points, each
+/// on its own event, atomic event and thread, so every table the upload
+/// fills (events, profiles, summaries) crosses the same multi-row INSERT
+/// boundaries. Every value differs per point, and some of them change
+/// under any lossy real encoding.
+profile::TrialData boundary_trial(std::size_t points) {
+  profile::TrialData data;
+  data.trial().name = "boundary " + std::to_string(points);
+  const std::size_t metric = data.intern_metric("TIME");
+  for (std::size_t i = 0; i < points; ++i) {
+    const auto n = static_cast<std::int32_t>(i);
+    const double x = static_cast<double>(i);
+    const std::size_t thread = data.intern_thread({n, 0, 0});
+    const std::size_t event = data.intern_event("e" + std::to_string(i), "G");
+    profile::IntervalDataPoint p;
+    p.inclusive = 0.1 * (x + 1);
+    p.exclusive = i % 2 ? -0.0 : 1.0 / (x + 3);
+    p.inclusive_pct = 100.0 / (x + 7);
+    p.exclusive_pct = 4.9406564584124654e-324 * x;
+    p.inclusive_per_call = 1e22 + x * 1e7;
+    p.num_calls = x + 1;
+    p.num_subrs = 2.2250738585072014e-308 * (x + 1);
+    data.set_interval_data(event, thread, metric, p);
+    const std::size_t atomic = data.intern_atomic_event("a" + std::to_string(i));
+    profile::AtomicDataPoint a;
+    a.sample_count = x;
+    a.maximum = 1.7976931348623157e308 / (x + 1);
+    a.minimum = -1.0 / 3.0 - x;
+    a.mean = 0.3 * x;
+    a.std_dev = 1e-300 * x;
+    data.set_atomic_data(atomic, thread, a);
+  }
+  data.infer_dimensions();
+  return data;
+}
+
+bool same_bits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// `loaded` holds exactly `original`'s events, in their order, and every
+/// point bit for bit.
+void expect_same_trial(const profile::TrialData& original,
+                       const profile::TrialData& loaded) {
+  ASSERT_EQ(loaded.events().size(), original.events().size());
+  for (std::size_t e = 0; e < original.events().size(); ++e) {
+    EXPECT_EQ(loaded.events()[e].name, original.events()[e].name);
+  }
+  ASSERT_EQ(loaded.atomic_events().size(), original.atomic_events().size());
+  for (std::size_t a = 0; a < original.atomic_events().size(); ++a) {
+    EXPECT_EQ(loaded.atomic_events()[a].name, original.atomic_events()[a].name);
+  }
+  ASSERT_EQ(loaded.interval_point_count(), original.interval_point_count());
+  ASSERT_EQ(loaded.atomic_point_count(), original.atomic_point_count());
+  original.for_each_interval([&](std::size_t e, std::size_t t, std::size_t m,
+                                 const profile::IntervalDataPoint& p) {
+    const auto* q = loaded.interval_data(
+        *loaded.find_event(original.events()[e].name),
+        *loaded.find_thread(original.threads()[t]),
+        *loaded.find_metric(original.metrics()[m].name));
+    ASSERT_NE(q, nullptr);
+    EXPECT_TRUE(same_bits(q->inclusive, p.inclusive));
+    EXPECT_TRUE(same_bits(q->exclusive, p.exclusive));
+    EXPECT_TRUE(same_bits(q->inclusive_pct, p.inclusive_pct));
+    EXPECT_TRUE(same_bits(q->exclusive_pct, p.exclusive_pct));
+    EXPECT_TRUE(same_bits(q->inclusive_per_call, p.inclusive_per_call));
+    EXPECT_TRUE(same_bits(q->num_calls, p.num_calls));
+    EXPECT_TRUE(same_bits(q->num_subrs, p.num_subrs));
+  });
+  original.for_each_atomic([&](std::size_t a, std::size_t t,
+                               const profile::AtomicDataPoint& p) {
+    const auto* q = loaded.atomic_data(
+        *loaded.find_atomic_event(original.atomic_events()[a].name),
+        *loaded.find_thread(original.threads()[t]));
+    ASSERT_NE(q, nullptr);
+    EXPECT_TRUE(same_bits(q->sample_count, p.sample_count));
+    EXPECT_TRUE(same_bits(q->maximum, p.maximum));
+    EXPECT_TRUE(same_bits(q->minimum, p.minimum));
+    EXPECT_TRUE(same_bits(q->mean, p.mean));
+    EXPECT_TRUE(same_bits(q->std_dev, p.std_dev));
+  });
+}
+
+std::int64_t count_rows(sqldb::Connection& connection, const std::string& sql) {
+  auto rs = connection.execute(sql);
+  rs.next();
+  return rs.get_int(1);
+}
+
+std::int64_t make_experiment(DatabaseAPI& api) {
+  profile::Application app;
+  app.name = "boundaries";
+  api.save_application(app);
+  profile::Experiment experiment;
+  experiment.application_id = app.id;
+  experiment.name = "e";
+  api.save_experiment(experiment);
+  return experiment.id;
+}
+
+const std::size_t kBoundarySizes[] = {0, 1, 127, 128, 129, 257};
+
+TEST(ApiUpload, ChunkBoundariesRoundTripLiveAfterReplayAndFromSnapshot) {
+  util::ScopedTempDir dir;
+  const auto db_dir = dir.path() / "archive";
+  const auto replay_dir = dir.path() / "replay";
+  std::vector<std::int64_t> trial_ids;
+  auto check_all = [&](DatabaseAPI& api) {
+    for (std::size_t i = 0; i < trial_ids.size(); ++i) {
+      SCOPED_TRACE("points = " + std::to_string(kBoundarySizes[i]));
+      expect_same_trial(boundary_trial(kBoundarySizes[i]),
+                        api.load_trial(trial_ids[i]));
+    }
+  };
+  {
+    auto connection = std::make_shared<sqldb::Connection>(db_dir);
+    DatabaseAPI api(connection);
+    const std::int64_t experiment_id = make_experiment(api);
+    for (std::size_t points : kBoundarySizes) {
+      trial_ids.push_back(api.upload_trial(boundary_trial(points), experiment_id));
+    }
+    check_all(api);
+    // Rows get their RowIds in upload order, trial by trial and point by
+    // point (the table has no id column; a scan walks RowId order).
+    auto rs = connection->execute("SELECT node FROM interval_location_profile");
+    for (std::size_t points : kBoundarySizes) {
+      for (std::size_t i = 0; i < points; ++i) {
+        ASSERT_TRUE(rs.next());
+        EXPECT_EQ(rs.get_int(1), static_cast<std::int64_t>(i));
+      }
+    }
+    EXPECT_FALSE(rs.next());
+    // A copy taken before the close-time checkpoint reopens by replaying
+    // the multi-row INSERTs from the WAL.
+    std::filesystem::copy(db_dir, replay_dir,
+                          std::filesystem::copy_options::recursive);
+  }
+  {
+    ASSERT_NE(util::read_file(replay_dir / "wal.log")
+                  .find("INSERT INTO interval_location_profile"),
+              std::string::npos);
+    auto connection = std::make_shared<sqldb::Connection>(replay_dir);
+    EXPECT_TRUE(connection->recovery_report().clean());
+    EXPECT_GT(connection->recovery_report().replayed_records, 0u);
+    DatabaseAPI api(connection);
+    check_all(api);
+  }
+  {
+    // The original was checkpointed on close: it reopens from the snapshot.
+    auto connection = std::make_shared<sqldb::Connection>(db_dir);
+    EXPECT_TRUE(connection->recovery_report().clean());
+    EXPECT_EQ(connection->recovery_report().replayed_records, 0u);
+    DatabaseAPI api(connection);
+    check_all(api);
+  }
+}
+
+TEST(ApiUpload, DerivedMetricCrossesChunkBoundaries) {
+  auto connection = std::make_shared<sqldb::Connection>();
+  DatabaseAPI api(connection);
+  const std::int64_t experiment_id = make_experiment(api);
+  profile::TrialData data = boundary_trial(257);
+  const std::int64_t trial_id = api.upload_trial(data, experiment_id);
+  const std::size_t derived = data.intern_metric("DOUBLE_TIME");
+  data.metric(derived).derived = true;
+  for (std::size_t i = 0; i < 257; ++i) {
+    profile::IntervalDataPoint p = *data.interval_data(i, i, 0);
+    p.inclusive *= 2;
+    data.set_interval_data(i, i, derived, p);
+  }
+  api.save_derived_metric(trial_id, data, "DOUBLE_TIME");
+  expect_same_trial(data, api.load_trial(trial_id));
+}
+
+/// Trials and their rows in every table the upload writes.
+std::vector<std::int64_t> row_counts(sqldb::Connection& connection) {
+  std::vector<std::int64_t> counts;
+  for (const char* table :
+       {"trial", "metric", "interval_event", "atomic_event",
+        "interval_location_profile", "interval_total_summary",
+        "interval_mean_summary", "atomic_location_profile"}) {
+    counts.push_back(
+        count_rows(connection, std::string("SELECT COUNT(*) FROM ") + table));
+  }
+  return counts;
+}
+
+TEST(ApiUpload, FailureInMiddleChunkLeavesNoRowOfTheTrial) {
+  auto connection = std::make_shared<sqldb::Connection>();
+  DatabaseAPI api(connection);
+  const std::int64_t experiment_id = make_experiment(api);
+  api.upload_trial(boundary_trial(3), experiment_id);
+  const auto before = row_counts(*connection);
+  // A unique index that point 200 of the next trial violates: the upload's
+  // second interval_location_profile INSERT (rows 128..255) fails after
+  // the first one and every event row went in.
+  connection->execute_update(
+      "CREATE UNIQUE INDEX ilp_inclusive ON interval_location_profile (inclusive)");
+  profile::TrialData data = boundary_trial(257);
+  profile::IntervalDataPoint clash = *data.interval_data(200, 200, 0);
+  clash.inclusive = data.interval_data(150, 150, 0)->inclusive;
+  data.set_interval_data(200, 200, 0, clash);
+  EXPECT_THROW(api.upload_trial(data, experiment_id), DbError);
+  EXPECT_EQ(row_counts(*connection), before);
+  EXPECT_EQ(count_rows(*connection, "SELECT COUNT(*) FROM trial WHERE name = "
+                                    "'boundary 257'"),
+            0);
+}
+
+TEST(ApiUpload, FailedCommitLeavesNoRowOfTheTrial) {
+  util::ScopedTempDir dir;
+  auto connection = std::make_shared<sqldb::Connection>(dir.path() / "archive");
+  DatabaseAPI api(connection);
+  const std::int64_t experiment_id = make_experiment(api);
+  api.upload_trial(boundary_trial(3), experiment_id);
+  const auto before = row_counts(*connection);
+  // The upload commits twice: the trial row (save_trial), then every
+  // other row in one transaction. Fail the second commit's WAL write.
+  util::failpoint::enable("wal.commit", util::FailAction::kError,
+                          /*countdown=*/2);
+  EXPECT_THROW(api.upload_trial(boundary_trial(257), experiment_id), IoError);
+  util::failpoint::clear_all();
+  EXPECT_EQ(row_counts(*connection), before);
+  // The archive stays writable, and a retry stores the whole trial.
+  const std::int64_t trial_id =
+      api.upload_trial(boundary_trial(257), experiment_id);
+  expect_same_trial(boundary_trial(257), api.load_trial(trial_id));
 }
 
 }  // namespace

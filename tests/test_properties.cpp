@@ -77,7 +77,7 @@ TEST_P(TauRoundTripProperty, WriteThenReadPreservesEveryPoint) {
     ASSERT_TRUE(re && rt && rm);
     const auto* q = reloaded.interval_data(*re, *rt, *rm);
     ASSERT_NE(q, nullptr);
-    // %.17g text representation is exact for doubles.
+    // The TAU writer prints %.17g, which reads back to the same double.
     EXPECT_DOUBLE_EQ(q->inclusive, p.inclusive);
     EXPECT_DOUBLE_EQ(q->exclusive, p.exclusive);
     EXPECT_DOUBLE_EQ(q->num_calls, p.num_calls);
@@ -285,7 +285,8 @@ TEST_P(ValueEncodingProperty, RandomValuesRoundTrip) {
         v = sqldb::Value(std::move(s));
       }
     }
-    const std::string encoded = sqldb::encode_value(v);
+    std::string encoded;
+    sqldb::encode_value(encoded, v);
     std::size_t pos = 0;
     const sqldb::Value decoded = sqldb::decode_value(encoded, pos);
     EXPECT_EQ(pos, encoded.size());

@@ -1,7 +1,9 @@
 // Persistence tests: WAL encoding, replay, snapshot, crash recovery.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "sqldb/connection.h"
 #include "sqldb/wal.h"
@@ -13,22 +15,30 @@
 using namespace perfdmf::sqldb;
 namespace u = perfdmf::util;
 
+namespace {
+std::string encoded(const Value& v) {
+  std::string out;
+  encode_value(out, v);
+  return out;
+}
+}  // namespace
+
 TEST(ValueEncoding, RoundTripsEveryType) {
   for (const Value& v :
        {Value(), Value(std::int64_t{-42}), Value(3.14159),
         Value("text with\nnewline and spaces"), Value(std::string())}) {
-    const std::string encoded = encode_value(v);
+    const std::string text = encoded(v);
     std::size_t pos = 0;
-    const Value decoded = decode_value(encoded, pos);
+    const Value decoded = decode_value(text, pos);
     EXPECT_EQ(decoded, v);
-    EXPECT_EQ(pos, encoded.size());
+    EXPECT_EQ(pos, text.size());
   }
 }
 
 TEST(ValueEncoding, RealPrecisionPreserved) {
   const Value v(0.1234567890123456789);
   std::size_t pos = 0;
-  EXPECT_DOUBLE_EQ(decode_value(encode_value(v), pos).as_real(), v.as_real());
+  EXPECT_DOUBLE_EQ(decode_value(encoded(v), pos).as_real(), v.as_real());
 }
 
 TEST(ValueEncoding, TruncatedInputThrows) {
@@ -477,23 +487,83 @@ TEST(ValueEncoding, AdversarialTextRoundTrips) {
   };
   for (const std::string& s : nasty) {
     const Value v(s);
-    const std::string encoded = encode_value(v);
+    const std::string text = encoded(v);
     std::size_t pos = 0;
-    const Value decoded = decode_value(encoded, pos);
+    const Value decoded = decode_value(text, pos);
     EXPECT_EQ(decoded.as_text(), s);
-    EXPECT_EQ(pos, encoded.size());
+    EXPECT_EQ(pos, text.size());
   }
 }
 
-TEST(ValueEncoding, SeventeenDigitDoublesSurviveExactly) {
-  for (const double d : {0.12345678901234567, 1e308, -1e-308, 2.2250738585072014e-308,
-                         9007199254740993.0, -0.0, 3.141592653589793}) {
+TEST(ValueEncoding, RealsSurviveBitExactly) {
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double d :
+       {0.12345678901234567, 1e308, -1e-308, 2.2250738585072014e-308,
+        9007199254740993.0, 0.0, -0.0, 3.141592653589793, 0.1, 1e22,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+        -std::numeric_limits<double>::max(), inf, -inf}) {
     const Value v(d);
+    const std::string text = encoded(v);
     std::size_t pos = 0;
-    const Value decoded = decode_value(encode_value(v), pos);
-    // Bit-exact, not just approximately equal: %.17g is lossless.
+    const Value decoded = decode_value(text, pos);
+    EXPECT_EQ(pos, text.size());
+    // Bit-exact, not just approximately equal: the shortest decimal that
+    // reads back to the same double is lossless, the sign of zero included.
     const double back = decoded.as_real();
-    EXPECT_EQ(std::memcmp(&d, &back, sizeof(double)), 0) << d;
+    EXPECT_EQ(std::memcmp(&d, &back, sizeof(double)), 0) << d << " as " << text;
+  }
+  // The shortest form, not %.17g padding.
+  EXPECT_EQ(encoded(Value(0.1)), "R 0.1\n");
+  EXPECT_EQ(encoded(Value(-0.0)), "R -0\n");
+  EXPECT_EQ(encoded(Value(1e22)), "R 1e+22\n");
+}
+
+TEST(ValueEncoding, NanStaysNan) {
+  for (const double d : {std::numeric_limits<double>::quiet_NaN(),
+                         -std::numeric_limits<double>::quiet_NaN()}) {
+    std::size_t pos = 0;
+    const Value decoded = decode_value(encoded(Value(d)), pos);
+    ASSERT_EQ(decoded.type(), ValueType::kReal);
+    EXPECT_TRUE(std::isnan(decoded.as_real()));
+  }
+}
+
+TEST(ValueEncoding, IntegerExtremesRoundTrip) {
+  for (const std::int64_t n : {std::numeric_limits<std::int64_t>::min(),
+                               std::numeric_limits<std::int64_t>::max(),
+                               std::int64_t{0}, std::int64_t{-1}}) {
+    const std::string text = encoded(Value(n));
+    std::size_t pos = 0;
+    const Value decoded = decode_value(text, pos);
+    ASSERT_EQ(decoded.type(), ValueType::kInt);
+    EXPECT_EQ(decoded.as_int(), n);
+    EXPECT_EQ(pos, text.size());
+  }
+  EXPECT_EQ(encoded(Value(std::numeric_limits<std::int64_t>::min())),
+            "I -9223372036854775808\n");
+}
+
+TEST(ValueEncoding, SeventeenDigitRecordsStillDecode) {
+  // Logs and snapshots written before the shortest-decimal encoder hold
+  // reals printed with %.17g; they must decode to the same doubles.
+  const struct {
+    const char* record;
+    double value;
+  } cases[] = {{"R 0.10000000000000001\n", 0.1},
+               {"R 3.1415926535897931\n", 3.141592653589793},
+               {"R 1.0000000000000000e+22\n", 1e22},
+               {"R -0\n", -0.0},
+               {"R 4.9406564584124654e-324\n",
+                std::numeric_limits<double>::denorm_min()},
+               {"R 1.7976931348623157e+308\n",
+                std::numeric_limits<double>::max()}};
+  for (const auto& c : cases) {
+    std::size_t pos = 0;
+    const double back = decode_value(c.record, pos).as_real();
+    EXPECT_EQ(std::memcmp(&c.value, &back, sizeof(double)), 0) << c.record;
+    EXPECT_EQ(pos, std::strlen(c.record));
   }
 }
 

@@ -211,6 +211,11 @@ TEST(GateRules, DirectionHeuristic) {
   EXPECT_FALSE(pg::lower_is_better("zipfian_read_t8_ops_per_s"));
   EXPECT_FALSE(pg::lower_is_better("top_k_speedup"));
   EXPECT_FALSE(pg::lower_is_better("ms"));  // the suffix alone is no name
+  // Work per stored row (statements, WAL bytes) is a cost: lower is better.
+  EXPECT_TRUE(pg::lower_is_better("load_statements_per_row"));
+  EXPECT_TRUE(pg::lower_is_better("load_wal_bytes_per_row"));
+  EXPECT_FALSE(pg::lower_is_better("_per_row"));
+  EXPECT_FALSE(pg::lower_is_better("p4096_load_rows_per_s"));
 }
 
 // ----------------------------------------------- perfguard regression math
