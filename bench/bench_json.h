@@ -2,7 +2,8 @@
 //
 // Every bench_* main collects its headline numbers into a BenchJson and
 // writes BENCH_<name>.json into the working directory on exit:
-//   {"bench":"query","schema_version":2,"git_sha":"...","timestamp":"...",
+//   {"bench":"query","schema_version":3,"git_sha":"...","timestamp":"...",
+//    "machine":{"nproc":4,"cpu_model":"..."},
 //    "metrics":{"topk_1m_ms":12.3,...}}
 // so successive runs populate a perf trajectory without scraping the
 // human-readable tables off stdout. Metric keys are flat snake_case;
@@ -16,20 +17,24 @@
 // bump it when the shape of this file changes:
 //   1: bench/git_sha/timestamp/metrics (PR 5)
 //   2: + schema_version itself, non-finite metrics as null
+//   3: + machine stamp (nproc, cpu_model), so a number is never compared
+//      with one from a machine of another class unawares
 #pragma once
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <string>
+#include <thread>
 
 #include "telemetry/metrics.h"
 #include "util/log.h"
 
 namespace perfdmf::bench {
 
-inline constexpr int kBenchJsonSchemaVersion = 2;
+inline constexpr int kBenchJsonSchemaVersion = 3;
 
 class BenchJson {
  public:
@@ -46,6 +51,9 @@ class BenchJson {
     out += ",\"schema_version\":" + std::to_string(kBenchJsonSchemaVersion);
     out += ",\"git_sha\":\"" + telemetry::json_escape(git_sha()) + "\"";
     out += ",\"timestamp\":\"" + util::iso8601_now() + "\"";
+    out += ",\"machine\":{\"nproc\":" +
+           std::to_string(std::thread::hardware_concurrency()) +
+           ",\"cpu_model\":\"" + telemetry::json_escape(cpu_model()) + "\"}";
     out += ",\"metrics\":{";
     bool first = true;
     for (const auto& [key, value] : metrics_) {
@@ -88,6 +96,19 @@ class BenchJson {
       sha.pop_back();
     }
     return sha.empty() ? "unknown" : sha;
+  }
+
+  /// The first "model name" in /proc/cpuinfo; "unknown" where there is
+  /// none (other platforms, some ARM kernels).
+  static std::string cpu_model() {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+      if (line.rfind("model name", 0) != 0) continue;
+      const std::size_t value = line.find_first_not_of(" \t", line.find(':') + 1);
+      if (value != std::string::npos) return line.substr(value);
+    }
+    return "unknown";
   }
 
   std::string name_;

@@ -15,6 +15,10 @@
 //                          queries: the perf store is just sqldb)
 //     --list               print every stored run, then the verdict
 //
+// The report names the machine behind each bench's baseline and current
+// run (BENCH json v3 stamps) and flags a baseline from another machine;
+// that never changes the verdict.
+//
 // Exit status: 0 clean (or first run / baseline recorded), 1 when a
 // gated metric regressed past the threshold or went missing, 2 on usage
 // or I/O errors. scripts/check.sh wires this in as the perfguard stage.

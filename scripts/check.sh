@@ -23,6 +23,8 @@
 #   scripts/check.sh perfguard --record-baseline
 #                               # re-record bench/baselines/ from a
 #                               # fresh run on this machine
+#   scripts/check.sh coverage   # advisory: tier-1 under --coverage,
+#                               # summarized into build-cov/coverage.json
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -80,8 +82,26 @@ run_perfguard() {
   fi
 }
 
+# Advisory line coverage, not part of the default sweep: tier-1 in a
+# --coverage Debug build (unoptimized, so lines and functions map 1:1),
+# then scripts/coverage_json.py writes build-cov/coverage.json — line
+# coverage per src/ module and per file, and the functions no test runs.
+run_coverage() {
+  echo "=== coverage (advisory) ==="
+  cmake -B build-cov -S . -DCMAKE_BUILD_TYPE=Debug \
+    -DCMAKE_CXX_FLAGS=--coverage >/dev/null
+  cmake --build build-cov -j "$JOBS"
+  find build-cov -name '*.gcda' -delete  # counts from this run only
+  ctest --test-dir build-cov --output-on-failure -j "$JOBS"
+  python3 scripts/coverage_json.py build-cov
+}
+
 if [ "$MODE" = "perfguard" ]; then
   run_perfguard "${2:-}"
+  exit 0
+fi
+if [ "$MODE" = "coverage" ]; then
+  run_coverage
   exit 0
 fi
 

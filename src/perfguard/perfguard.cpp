@@ -15,7 +15,7 @@ namespace {
 /// Highest BENCH json layout this loader understands (bench/bench_json.h
 /// documents the versions). Older files load fine; a newer file means a
 /// newer emitter and the comparison could be silently wrong — refuse.
-constexpr std::int64_t kMaxSchemaVersion = 2;
+constexpr std::int64_t kMaxSchemaVersion = 3;
 
 /// Glob with a single '*' anywhere (start, middle, end): the text must
 /// carry the pattern's prefix and suffix around any gap. Multiple stars
@@ -55,6 +55,14 @@ BenchRun parse_bench_json(std::string_view text) {
                        std::to_string(run.schema_version) +
                        " is newer than this perfguard understands (max " +
                        std::to_string(kMaxSchemaVersion) + ")");
+    }
+  }
+  if (const auto* m = doc.find("machine"); m != nullptr && m->is_object()) {
+    if (const auto* v = m->find("nproc"); v != nullptr && v->is_number()) {
+      run.nproc = static_cast<std::int64_t>(v->as_number());
+    }
+    if (const auto* v = m->find("cpu_model"); v != nullptr && v->is_string()) {
+      run.cpu_model = v->as_string();
     }
   }
   const util::json::Value* metrics = doc.find("metrics");
@@ -157,7 +165,18 @@ void PerfDb::ensure_schema() {
       " git_sha TEXT,"
       " timestamp TEXT,"
       " schema_version INTEGER,"
-      " kind TEXT NOT NULL)");
+      " kind TEXT NOT NULL,"
+      " nproc INTEGER,"
+      " cpu_model TEXT)");
+  // A perf history recorded before machine stamps gains their columns.
+  bool stamped = false;
+  for (const auto& column : connection_->get_meta_data().get_columns("perf_runs")) {
+    stamped = stamped || column.name == "nproc";
+  }
+  if (!stamped) {
+    connection_->execute_update("ALTER TABLE perf_runs ADD COLUMN nproc INTEGER");
+    connection_->execute_update("ALTER TABLE perf_runs ADD COLUMN cpu_model TEXT");
+  }
   connection_->execute_update(
       "CREATE TABLE IF NOT EXISTS perf_metrics ("
       " id INTEGER PRIMARY KEY,"
@@ -174,10 +193,12 @@ std::int64_t PerfDb::record_run(const BenchRun& run, std::string_view kind) {
   try {
     connection_->execute_update(
         "INSERT INTO perf_runs (bench, git_sha, timestamp, schema_version,"
-        " kind) VALUES (?, ?, ?, ?, ?)",
+        " kind, nproc, cpu_model) VALUES (?, ?, ?, ?, ?, ?, ?)",
         {sqldb::Value(run.bench), sqldb::Value(run.git_sha),
          sqldb::Value(run.timestamp), sqldb::Value(run.schema_version),
-         sqldb::Value(std::string(kind))});
+         sqldb::Value(std::string(kind)),
+         run.nproc > 0 ? sqldb::Value(run.nproc) : sqldb::Value(),
+         run.nproc > 0 ? sqldb::Value(run.cpu_model) : sqldb::Value()});
     auto rs = connection_->execute("SELECT MAX(id) FROM perf_runs");
     rs.next();
     const std::int64_t run_id = rs.get_int(1);
@@ -205,6 +226,15 @@ std::int64_t PerfDb::latest_run(std::string_view bench, std::string_view kind) {
   return rs.get_int(1);
 }
 
+std::string PerfDb::machine_stamp(std::int64_t run_id) {
+  auto rs = connection_->execute(
+      "SELECT nproc, cpu_model FROM perf_runs WHERE id = ?",
+      {sqldb::Value(run_id)});
+  if (!rs.next() || rs.is_null(1)) return "unstamped";
+  return std::to_string(rs.get_int(1)) + " x " +
+         (rs.is_null(2) ? std::string("unknown") : rs.get_string(2));
+}
+
 std::vector<std::string> PerfDb::benches_with(std::string_view kind) {
   auto rs = connection_->execute(
       "SELECT DISTINCT bench FROM perf_runs WHERE kind = ? ORDER BY bench",
@@ -226,6 +256,12 @@ Report PerfDb::compare(double threshold_pct,
       report.first_run_benches.push_back(bench);
       continue;
     }
+    MachineStamps machines{bench, machine_stamp(baseline_id),
+                           machine_stamp(current_id)};
+    machines.differ = machines.baseline != "unstamped" &&
+                      machines.current != "unstamped" &&
+                      machines.baseline != machines.current;
+    report.machines.push_back(std::move(machines));
 
     // The delta itself is SQL: baseline rows LEFT JOINed to the current
     // run, relative change computed by the engine (NULL current or a
@@ -309,6 +345,15 @@ std::string format_report(const Report& report) {
                   d.bench.c_str(), d.metric.c_str(), baseline, current, delta,
                   verdict);
     out += line;
+  }
+  for (const MachineStamps& m : report.machines) {
+    out += "machine " + m.bench + ": baseline " + m.baseline + ", current " +
+           m.current + "\n";
+    if (m.differ) {
+      out += "baseline from another machine for bench '" + m.bench +
+             "': its deltas mix machine and code (re-record with"
+             " --record-baseline on this machine class)\n";
+    }
   }
   for (const std::string& bench : report.first_run_benches) {
     out += "first run for bench '" + bench +

@@ -10,7 +10,8 @@
 // regresses past a threshold.
 //
 // Schema (bootstrapped on first use, shares a database with anything):
-//   PERF_RUNS    (id PK, bench, git_sha, timestamp, schema_version, kind)
+//   PERF_RUNS    (id PK, bench, git_sha, timestamp, schema_version, kind,
+//                 nproc, cpu_model)
 //   PERF_METRICS (id PK, run -> PERF_RUNS.id, name, value)
 // `kind` is 'baseline' (loaded from a committed bench/baselines/ file or
 // recorded by --record-baseline) or 'current' (this run). With a
@@ -39,6 +40,9 @@ struct BenchRun {
   std::string git_sha;
   std::string timestamp;
   std::int64_t schema_version = 1;  // pre-versioning files are v1
+  /// Machine stamp (schema_version >= 3); 0 / empty on older files.
+  std::int64_t nproc = 0;
+  std::string cpu_model;
   /// name -> value, document order. Null-valued metrics (non-finite at
   /// emit time) are dropped at parse.
   std::vector<std::pair<std::string, double>> metrics;
@@ -82,8 +86,20 @@ struct Delta {
   bool new_metric = false;      // in this run, absent from baseline
 };
 
+/// The machines behind one bench's baseline and current run, as
+/// "<nproc> x <cpu model>" ("unstamped" for files older than v3).
+struct MachineStamps {
+  std::string bench;
+  std::string baseline;
+  std::string current;
+  /// Both runs are stamped and the stamps differ: the deltas compare
+  /// machine classes as much as code.
+  bool differ = false;
+};
+
 struct Report {
   std::vector<Delta> deltas;
+  std::vector<MachineStamps> machines;
   /// Benches with a current run but no stored baseline (first run):
   /// compared against nothing, reported, never failed.
   std::vector<std::string> first_run_benches;
@@ -124,6 +140,9 @@ class PerfDb {
 
  private:
   void ensure_schema();
+  /// PERF_RUNS row `run_id`'s machine as "<nproc> x <cpu model>", or
+  /// "unstamped".
+  std::string machine_stamp(std::int64_t run_id);
 
   std::shared_ptr<sqldb::Connection> connection_;
 };

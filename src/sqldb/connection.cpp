@@ -6,7 +6,6 @@
 #include "sqldb/parser.h"
 #include "sqldb/system_tables.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -151,14 +150,14 @@ void PreparedStatement::clear_parameters() {
 
 ResultSet PreparedStatement::execute_query() {
   debug_claim_thread();
-  telemetry::Span span(sql_);
-  return ResultSet(connection_.run_statement(statement_, params_, sql_));
+  StatementRecord record = connection_.open_record(sql_);
+  return ResultSet(connection_.run_statement(record, statement_, params_));
 }
 
 std::size_t PreparedStatement::execute_update() {
   debug_claim_thread();
-  telemetry::Span span(sql_);
-  return update_count(connection_.run_statement(statement_, params_, sql_));
+  StatementRecord record = connection_.open_record(sql_);
+  return update_count(connection_.run_statement(record, statement_, params_));
 }
 
 // ------------------------------------------------------ DatabaseMetaData
@@ -241,41 +240,32 @@ void Connection::init_governance_from_env() {
       static_cast<std::uint64_t>(env_nonneg("PERFDMF_STMT_MEM_BYTES"));
 }
 
-StatementContext Connection::make_statement_context() {
-  StatementContext ctx;
-  ctx.deadline = util::Deadline::after_ms(statement_timeout_ms_);
-  ctx.cancel = &cancel_flag_;
-  ctx.mem_soft_bytes = statement_mem_bytes_;
-  // Soft breach degrades to spill-free operators; only a statement whose
-  // state still grows 4x past the budget is killed outright.
-  ctx.mem_hard_bytes = statement_mem_bytes_ == 0 ? 0 : statement_mem_bytes_ * 4;
-  return ctx;
+StatementRecord Connection::open_record(std::string_view sql) {
+  return StatementRecord(sql, sql.empty() ? nullptr : &database_->statements(),
+                         util::Deadline::after_ms(statement_timeout_ms_),
+                         &cancel_flag_, statement_mem_bytes_);
 }
 
-ResultSetData Connection::run_statement(Statement& stmt, const Params& params,
-                                        std::string_view sql) {
-  StatementContext ctx = make_statement_context();
-  ScopedStatementContext scope(ctx);
-  // Listed in PERFDMF_STATEMENTS for the whole governed lifetime
-  // (admission wait included). The guard outlives nothing it points to:
-  // ctx lives until the end of this frame and the slot is cleared first.
-  StatementRegistry::Guard listing(database_->statements(), sql, &ctx);
+ResultSetData Connection::run_statement(StatementRecord& record,
+                                        Statement& stmt, const Params& params) {
+  if (stmt.kind == StatementKind::kExplain && stmt.analyze) {
+    // EXPLAIN ANALYZE: attribute every phase (admission, lock wait,
+    // fsync, ...) even when no slow threshold or tracing is armed.
+    record.arm_analyze();
+  }
   try {
-    return run_governed(stmt, params, sql, ctx);
+    return run_governed(record, stmt, params);
   } catch (const DbError& e) {
-    telemetry::Span* span = telemetry::Span::current();
-    if (span != nullptr) {
-      if (e.kind() == DbError::Kind::kTimeout) span->set_outcome("timed_out");
-      if (e.kind() == DbError::Kind::kCancelled) span->set_outcome("cancelled");
-    }
+    if (e.kind() == DbError::Kind::kTimeout) record.set_outcome("timed_out");
+    if (e.kind() == DbError::Kind::kCancelled) record.set_outcome("cancelled");
     throw;
   }
 }
 
-ResultSetData Connection::run_governed(Statement& stmt, const Params& params,
-                                       std::string_view sql,
-                                       StatementContext& ctx) {
+ResultSetData Connection::run_governed(StatementRecord& record,
+                                       Statement& stmt, const Params& params) {
   LockManager& locks = database_->locks();
+  const std::string_view sql = record.sql();
   const StatementClass cls = classify_statement(stmt);
 
   if (locks.owned_by_this_thread()) {
@@ -300,7 +290,7 @@ ResultSetData Connection::run_governed(Statement& stmt, const Params& params,
       // Group commit: await the deferred fsync only after the writer
       // mutex is released, so other committers can queue behind the
       // same leader fsync instead of serializing on the lock.
-      database_->await_durability(ctx);
+      database_->await_durability(record);
       return result;
     }
     return database_->execute(stmt, params, sql);
@@ -309,8 +299,8 @@ ResultSetData Connection::run_governed(Statement& stmt, const Params& params,
   if (cls == StatementClass::kTxnBegin) {
     // Admission strictly precedes the lock (deadlock-freedom ordering);
     // the slot then spans the whole BEGIN..COMMIT unit.
-    AdmissionSlot slot = database_->governor().admit(&ctx);
-    locks.acquire_transaction(&ctx);
+    AdmissionSlot slot = database_->governor().admit(&record);
+    locks.acquire_transaction(&record);
     try {
       ResultSetData result = database_->execute(stmt, params, sql);
       database_->adopt_txn_admission(std::move(slot));
@@ -326,16 +316,16 @@ ResultSetData Connection::run_governed(Statement& stmt, const Params& params,
   // admission: it only reads state and reports an error).
   AdmissionSlot slot = cls == StatementClass::kTxnEnd
                            ? AdmissionSlot{}
-                           : database_->governor().admit(&ctx);
+                           : database_->governor().admit(&record);
   ResultSetData result;
   {
-    StatementGuard guard(locks, cls, &ctx);
+    StatementGuard guard(locks, cls, &record);
     result = database_->execute(stmt, params, sql);
   }
   // An autocommitted DML statement under SyncMode::kAlways defers its
   // fsync; awaiting it after the guard is what lets concurrent
   // single-statement committers share one group fsync.
-  database_->await_durability(ctx);
+  database_->await_durability(record);
   return result;
 }
 
@@ -348,17 +338,11 @@ std::size_t Connection::execute_update(std::string_view sql, const Params& param
 }
 
 ResultSetData Connection::run_cached(std::string_view sql, const Params& params) {
-  telemetry::Span span(sql);
+  StatementRecord record = open_record(sql);
   PlanLease lease = lease_plan(sql);
-  if (lease.statement->kind == StatementKind::kExplain &&
-      lease.statement->analyze) {
-    // EXPLAIN ANALYZE: attribute every phase (admission, lock wait,
-    // fsync, ...) even when no slow threshold or tracing is armed.
-    span.arm_analyze();
-  }
   ResultSetData result;
   try {
-    result = run_statement(*lease.statement, params, sql);
+    result = run_statement(record, *lease.statement, params);
   } catch (...) {
     release_plan(lease);
     throw;
@@ -414,7 +398,7 @@ Connection::PlanLease Connection::lease_plan(std::string_view sql) {
     }
   }
   {
-    telemetry::PhaseTimer parse_phase(telemetry::Phase::kParse);
+    PhaseScope parse_phase(telemetry::Phase::kParse, StatementRecord::current());
     lease.owned = std::make_unique<Statement>(parse_statement(sql));  // no lock held
   }
   lease.statement = lease.owned.get();
@@ -487,10 +471,9 @@ void Connection::begin() {
   }
   // Same unit discipline as the SQL BEGIN path: admit, then lock; the
   // slot rides on the database until commit()/rollback() releases it.
-  StatementContext ctx = make_statement_context();
-  ScopedStatementContext scope(ctx);
-  AdmissionSlot slot = database_->governor().admit(&ctx);
-  locks.acquire_transaction(&ctx);
+  StatementRecord record = open_record({});
+  AdmissionSlot slot = database_->governor().admit(&record);
+  locks.acquire_transaction(&record);
   try {
     database_->begin();
     database_->adopt_txn_admission(std::move(slot));

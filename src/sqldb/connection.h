@@ -220,14 +220,17 @@ class Connection {
  private:
   friend class PreparedStatement;
 
-  /// Classify, admit (governor), take the right lock, and execute.
-  ResultSetData run_statement(Statement& stmt, const Params& params,
-                              std::string_view sql);
-  /// run_statement's body, running under an installed StatementContext.
-  ResultSetData run_governed(Statement& stmt, const Params& params,
-                             std::string_view sql, StatementContext& ctx);
-  /// Fresh context from this connection's timeout/budget/cancel state.
-  StatementContext make_statement_context();
+  /// The record of one statement on `sql`, governed by this connection's
+  /// timeout, memory budget and cancel flag. Empty `sql` yields a record
+  /// that only governs: unlisted and untimed (begin()).
+  StatementRecord open_record(std::string_view sql);
+  /// Classify, admit (governor), take the right lock, and execute
+  /// `record`'s statement; a timeout or cancel sets its outcome.
+  ResultSetData run_statement(StatementRecord& record, Statement& stmt,
+                              const Params& params);
+  /// run_statement's body.
+  ResultSetData run_governed(StatementRecord& record, Statement& stmt,
+                             const Params& params);
   /// Seed timeout/budget defaults from PERFDMF_STMT_TIMEOUT_MS and
   /// PERFDMF_STMT_MEM_BYTES.
   void init_governance_from_env();

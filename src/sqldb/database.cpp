@@ -4,13 +4,13 @@
 #include <chrono>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "sqldb/parser.h"
-#include "sqldb/statement_context.h"
+#include "sqldb/statement_record.h"
 #include "sqldb/system_tables.h"
 #include "sqldb/wal.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -212,7 +212,7 @@ void Database::enter_read_only(const std::string& reason) {
     std::lock_guard<std::mutex> lock(read_only_mutex_);
     read_only_reason_ = reason;
   }
-  detail::gov_readonly_entered().add();
+  count_gov("gov.readonly_entered");
   util::log_error() << "entering degraded read-only mode: " << reason;
 }
 
@@ -241,7 +241,7 @@ bool Database::try_exit_read_only() {
     read_only_reason_.clear();
   }
   read_only_.store(false, std::memory_order_release);
-  detail::gov_readonly_exited().add();
+  count_gov("gov.readonly_exited");
   util::log_info() << "leaving degraded read-only mode: space probe succeeded";
   return true;
 }
@@ -418,19 +418,10 @@ ResultSetData Database::dispatch_statement(Statement& stmt, const Params& params
     case StatementKind::kSelect: {
       // When the slow-query log is armed, collect the plan so a slow
       // statement's trace carries its access path.
-      telemetry::Span* span = telemetry::Span::current();
-      if (span != nullptr && span->wants_plan()) {
-        ExplainInfo explain;
-        ResultSetData out = execute_select(*this, stmt.select, params, &explain);
-        std::string plan;
-        for (const auto& line : explain.lines) {
-          if (!plan.empty()) plan += '\n';
-          plan += line;
-        }
-        span->set_plan(std::move(plan));
-        return out;
-      }
-      return execute_select(*this, stmt.select, params);
+      StatementRecord* record = StatementRecord::current();
+      return execute_select(*this, stmt.select, params,
+                            record != nullptr ? record->claim_plan(false)
+                                              : nullptr);
     }
     case StatementKind::kExplain:
       return execute_explain(*this, stmt.select, params, stmt.analyze);
@@ -545,9 +536,9 @@ std::size_t Database::run_insert(InsertStatement& stmt, const Params& params,
   }
 
   std::size_t inserted = 0;
-  StatementContext* ctx = StatementContext::current();
+  StatementRecord* record = StatementRecord::current();
   auto insert_values = [&](const Row& values) {
-    if (ctx != nullptr) ctx->poll();
+    if (record != nullptr) record->poll();
     if (values.size() != positions.size()) {
       throw DbError("INSERT value count mismatch for table " + stmt.table);
     }
@@ -598,9 +589,9 @@ std::size_t Database::run_update(UpdateStatement& stmt, const Params& params,
   std::vector<RowId> candidates = collect_candidates(
       t, stmt.where ? stmt.where.get() : nullptr, params, view);
   std::size_t updated = 0;
-  StatementContext* ctx = StatementContext::current();
+  StatementRecord* record = StatementRecord::current();
   for (RowId id : candidates) {
-    if (ctx != nullptr) ctx->poll();
+    if (record != nullptr) record->poll();
     const Row* old_row = t.fetch(id, view);
     if (old_row == nullptr) continue;
     if (stmt.where && !is_truthy(eval_expr(*stmt.where, *old_row, params))) continue;
@@ -630,9 +621,9 @@ std::size_t Database::run_delete(DeleteStatement& stmt, const Params& params,
   std::vector<RowId> candidates = collect_candidates(
       t, stmt.where ? stmt.where.get() : nullptr, params, view);
   std::size_t deleted = 0;
-  StatementContext* ctx = StatementContext::current();
+  StatementRecord* record = StatementRecord::current();
   for (RowId id : candidates) {
-    if (ctx != nullptr) ctx->poll();
+    if (record != nullptr) record->poll();
     const Row* row = t.fetch(id, view);
     if (row == nullptr) continue;
     if (stmt.where && !is_truthy(eval_expr(*stmt.where, *row, params))) continue;
@@ -847,8 +838,8 @@ void Database::begin() {
 void Database::commit() {
   if (!in_txn_) throw DbError("COMMIT without BEGIN");
   if (wal_ && !replaying_ && !txn_wal_buffer_.empty()) {
-    StatementContext* ctx = StatementContext::current();
-    const bool defer = ctx != nullptr;
+    StatementRecord* record = StatementRecord::current();
+    const bool defer = record != nullptr;
     try {
       std::uint64_t seq = 0;
       governed_durable_write(
@@ -858,7 +849,7 @@ void Database::commit() {
       // await_durability() after releasing the writer mutex, so many
       // committing threads share one leader fsync.
       if (defer && wal_->sync_mode() != SyncMode::kNone) {
-        ctx->set_pending_durable(seq);
+        record->pending_durable_seq = seq;
       }
     } catch (...) {
       // The batch never reached the log: abort every stamp so the
@@ -894,8 +885,8 @@ void Database::rollback() {
   rollbacks.add();
 }
 
-void Database::await_durability(StatementContext& ctx) {
-  const std::uint64_t seq = ctx.take_pending_durable();
+void Database::await_durability(StatementRecord& record) {
+  const std::uint64_t seq = std::exchange(record.pending_durable_seq, 0);
   if (seq == 0 || !wal_) return;
   governed_durable_write([&] { wal_->wait_durable(seq); }, "WAL fsync");
 }
@@ -908,13 +899,13 @@ void Database::log_statement(std::string_view sql, const Params& params) {
   }
   // A failed append propagates to the WriteUnit, which aborts the
   // statement's stamp — the in-memory effects vanish with it.
-  StatementContext* ctx = StatementContext::current();
-  const bool defer = ctx != nullptr;
+  StatementRecord* record = StatementRecord::current();
+  const bool defer = record != nullptr;
   std::uint64_t seq = 0;
   governed_durable_write([&] { seq = wal_->append(sql, params, defer); },
                          "WAL append");
   if (defer && wal_->sync_mode() == SyncMode::kAlways) {
-    ctx->set_pending_durable(seq);
+    record->pending_durable_seq = seq;
   }
 }
 

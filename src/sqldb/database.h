@@ -30,7 +30,7 @@
 #include "sqldb/executor.h"
 #include "sqldb/governor.h"
 #include "sqldb/lock_manager.h"
-#include "sqldb/statement_registry.h"
+#include "sqldb/statement_record.h"
 #include "sqldb/table.h"
 
 namespace perfdmf::sqldb {
@@ -111,7 +111,7 @@ class Database {
   /// by the Connection AFTER releasing the statement's locks, so many
   /// committers can queue behind one leader fsync. ENOSPC degrades the
   /// database to read-only exactly like an inline sync failure.
-  void await_durability(StatementContext& ctx);
+  void await_durability(StatementRecord& record);
 
   /// Reader-writer lock coordinating every Connection over this database.
   /// The Database itself never locks (recursive execution — view
@@ -194,7 +194,7 @@ class Database {
 
  private:
   friend ResultSetData execute_select(Database&, SelectStatement&, const Params&,
-                                      ExplainInfo*);
+                                      StatementRecord*);
 
   /// RAII around one DML statement's writes: owns the CommitStamp every
   /// version the statement installs is tagged with. succeed() publishes

@@ -6,14 +6,14 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "sqldb/database.h"
-#include "sqldb/statement_context.h"
+#include "sqldb/statement_record.h"
 #include "sqldb/system_tables.h"
-#include "telemetry/span.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -38,51 +38,12 @@ bool index_probe_is_cheaper(std::size_t left_rows, std::size_t right_rows) {
   return left_rows * log2_right < right_rows;
 }
 
-/// Collects per-operator runtime stats (EXPLAIN ANALYZE) and emits
-/// operator events onto the trace timeline. Inactive — zero clock reads —
-/// unless the statement runs under EXPLAIN ANALYZE or its span is traced.
-/// Timing uses the steady clock directly so EXPLAIN ANALYZE stays exact
-/// in telemetry-off builds.
-struct OpRecorder {
-  ExplainInfo* explain = nullptr;  // non-null only when collecting op stats
-  bool traced = false;             // current statement span is on the timeline
-
-  static OpRecorder make(ExplainInfo* explain) {
-    OpRecorder rec;
-    rec.explain = explain != nullptr && explain->analyze ? explain : nullptr;
-    const telemetry::Span* span = telemetry::Span::current();
-    rec.traced = span != nullptr && span->trace_armed();
-    return rec;
-  }
-
-  bool active() const { return explain != nullptr || traced; }
-
-  std::chrono::steady_clock::time_point begin() const {
-    return active() ? std::chrono::steady_clock::now()
-                    : std::chrono::steady_clock::time_point{};
-  }
-
-  void record(std::string label, std::chrono::steady_clock::time_point start,
-              std::uint64_t rows_in, std::uint64_t rows_out,
-              std::uint64_t entries = 0, std::uint64_t mem_bytes = 0,
-              bool degraded = false) {
-    if (!active()) return;
-    const auto end = std::chrono::steady_clock::now();
-    if (traced) telemetry::trace_emit(label, "operator", start, end);
-    if (explain == nullptr) return;
-    OperatorStats op;
-    op.label = std::move(label);
-    op.rows_in = rows_in;
-    op.rows_out = rows_out;
-    op.micros = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(end - start)
-            .count());
-    op.entries = entries;
-    op.mem_bytes = mem_bytes;
-    op.degraded = degraded;
-    explain->ops.push_back(std::move(op));
-  }
-};
+/// The calling thread's statement record, or `bare`'s ungoverned one
+/// outside any Connection statement (WAL replay, direct Database use).
+StatementRecord& current_record(std::optional<StatementRecord>& bare) {
+  if (StatementRecord::current() == nullptr) bare.emplace("", nullptr);
+  return *StatementRecord::current();
+}
 
 // ------------------------------------------------------------ planning
 
@@ -482,10 +443,10 @@ Table& resolve_table(Database& db, const std::string& name, WorkingSet& ws) {
 
 /// FROM + JOIN + WHERE: produce the working rows and the column layout.
 WorkingSet build_working_set(Database& db, SelectStatement& stmt,
-                             const Params& params, ExplainInfo* explain,
-                             OpRecorder& rec) {
+                             const Params& params, StatementRecord* explain,
+                             StatementRecord& record) {
   const ExecutorTuning tuning = db.executor_tuning();
-  StatementContext* ctx = StatementContext::current();
+  const bool own = explain != nullptr;
   // The statement's MVCC snapshot: pinned once, used for every row
   // resolution below, so the whole SELECT sees one consistent state no
   // matter what commits concurrently.
@@ -519,7 +480,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   std::vector<Expr*> pushed;
   AccessPath path;
   {
-    telemetry::PhaseTimer plan_phase(telemetry::Phase::kPlan);
+    PhaseScope plan_phase(telemetry::Phase::kPlan, &record);
     if (stmt.where) {
       if (stmt.joins.empty()) {
         bind_expr(*stmt.where, ws.layout);
@@ -555,10 +516,10 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   if (explain) {
     explain->add("from " + base_alias + ": " + describe_access_path(base, path));
   }
-  const auto from_start = rec.begin();
+  const auto from_start = record.op_start(own);
   std::uint64_t from_rows_in = 0;
   auto consider = [&](const Row& row) {
-    if (ctx != nullptr) ctx->poll();
+    record.poll();
     for (const Expr* conjunct : pushed) {
       if (!is_truthy(eval_expr(*conjunct, row, params))) return;
     }
@@ -580,7 +541,8 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
       if (row != nullptr) consider(*row);
     }
   }
-  rec.record("from " + base_alias, from_start, from_rows_in, ws.rows.size());
+  record.op_end(own, "from " + base_alias, from_start, from_rows_in,
+                ws.rows.size());
 
   // Joins. An equi-join conjunct (existing_col = right_col) in the ON
   // clause selects an index-nested-loop when the right side has an index
@@ -591,7 +553,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   // loop otherwise. NULL keys never match (SQL '='), and the non-equi
   // remainder of the ON clause is evaluated per pair.
   for (auto& join : stmt.joins) {
-    const auto join_start = rec.begin();
+    const auto join_start = record.op_start(own);
     const std::uint64_t join_rows_in = ws.rows.size();
     std::uint64_t join_entries = 0;   // hash-build entries (0 on fallback)
     std::uint64_t join_mem = 0;       // peak bytes charged by the build
@@ -656,7 +618,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
       // grows; a soft breach abandons the hash strategy (the partially
       // built state is discarded and released) and the join falls
       // through to the nested-loop path below.
-      ScopedMemCharge mem(ctx);
+      ScopedMemCharge mem(record);
       bool degraded = false;
       const bool build_left = ws.rows.size() < right.live_row_count();
       if (explain) {
@@ -671,7 +633,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         std::unordered_map<Value, std::vector<std::size_t>, ValueHash> table;
         table.reserve(ws.rows.size());
         for (std::size_t i = 0; i < ws.rows.size(); ++i) {
-          if (ctx != nullptr) ctx->poll();
+          record.poll();
           const Value& key = ws.rows[i][left_key];
           if (key.is_null()) continue;
           if (!mem.charge(kHashEntryBytes)) {
@@ -684,7 +646,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         if (!degraded) {
           std::vector<std::vector<Row>> matches(ws.rows.size());
           right.scan(view, [&](RowId, const Row& right_row) {
-            if (ctx != nullptr) ctx->poll();
+            record.poll();
             const Value& key = right_row[right_key];
             if (key.is_null()) return;
             auto it = table.find(key);
@@ -696,7 +658,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
             }
           });
           for (std::size_t i = 0; i < ws.rows.size(); ++i) {
-            if (ctx != nullptr) ctx->poll();
+            record.poll();
             if (matches[i].empty()) {
               if (join.left_outer) {
                 Row combined = ws.rows[i];
@@ -714,7 +676,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         table.reserve(right.live_row_count());
         right.scan(view, [&](RowId, const Row& right_row) {
           if (degraded) return;
-          if (ctx != nullptr) ctx->poll();
+          record.poll();
           const Value& key = right_row[right_key];
           if (key.is_null()) return;
           if (!mem.charge(kHashEntryBytes)) {
@@ -726,7 +688,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         join_entries = table.size();
         if (!degraded) {
           for (const auto& left_row : ws.rows) {
-            if (ctx != nullptr) ctx->poll();
+            record.poll();
             bool matched = false;
             const Value& key = left_row[left_key];
             if (!key.is_null()) {
@@ -754,7 +716,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
       join_mem = mem.charged();
       join_degraded = degraded;
       if (degraded) {
-        if (ctx != nullptr) ctx->note_mem_degraded();
+        record.note_mem_degraded();
         if (explain) explain->add("join " + right_alias + ": mem-degraded");
         joined.clear();
         hash_join = false;
@@ -767,7 +729,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
       }
       const Expr& on = *join.on;
       for (const auto& left_row : ws.rows) {
-        if (ctx != nullptr) ctx->poll();
+        record.poll();
         bool matched = false;
         auto try_pair = [&](const Row& right_row, bool key_matched) {
           Row combined = left_row;
@@ -792,7 +754,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
           }
         } else {
           right.scan(view, [&](RowId, const Row& right_row) {
-            if (ctx != nullptr) ctx->poll();
+            record.poll();
             try_pair(right_row, false);
           });
         }
@@ -805,27 +767,27 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     }
     ws.rows = std::move(joined);
     ws.layout = std::move(new_layout);
-    rec.record("join " + right_alias, join_start, join_rows_in, ws.rows.size(),
-               join_entries, join_mem, join_degraded);
+    record.op_end(own, "join " + right_alias, join_start, join_rows_in,
+                  ws.rows.size(), join_entries, join_mem, join_degraded);
   }
 
   // Full WHERE over the working rows: post-join re-evaluation (pushed
   // conjuncts were partial), or the full predicate over index candidates
   // (a superset) in the single-table case.
   if (stmt.where) {
-    const auto filter_start = rec.begin();
+    const auto filter_start = record.op_start(own);
     const std::uint64_t filter_rows_in = ws.rows.size();
     if (!stmt.joins.empty()) bind_expr(*stmt.where, ws.layout);
     std::vector<Row> kept;
     kept.reserve(ws.rows.size());
     for (auto& row : ws.rows) {
-      if (ctx != nullptr) ctx->poll();
+      record.poll();
       if (is_truthy(eval_expr(*stmt.where, row, params))) {
         kept.push_back(std::move(row));
       }
     }
     ws.rows = std::move(kept);
-    rec.record("filter", filter_start, filter_rows_in, ws.rows.size());
+    record.op_end(own, "filter", filter_start, filter_rows_in, ws.rows.size());
   }
   return ws;
 }
@@ -854,9 +816,11 @@ std::size_t eval_limit_operand(const Expr& e, const Params& params,
 }  // namespace
 
 ResultSetData execute_select(Database& db, SelectStatement& stmt,
-                             const Params& params, ExplainInfo* explain) {
+                             const Params& params, StatementRecord* explain) {
   const ExecutorTuning tuning = db.executor_tuning();
-  StatementContext* ctx = StatementContext::current();
+  std::optional<StatementRecord> bare;
+  StatementRecord& record = current_record(bare);
+  const bool own = explain != nullptr;
 
   // Evaluate LIMIT/OFFSET up front: negative (or non-integer) operands are
   // errors, and a known bound enables the Top-K path below.
@@ -865,8 +829,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
   if (stmt.limit) limit_count = eval_limit_operand(*stmt.limit, params, "LIMIT");
   if (stmt.offset) offset_count = eval_limit_operand(*stmt.offset, params, "OFFSET");
 
-  OpRecorder rec = OpRecorder::make(explain);
-  WorkingSet ws = build_working_set(db, stmt, params, explain, rec);
+  WorkingSet ws = build_working_set(db, stmt, params, explain, record);
 
   // Expand '*' items into one column ref per working column.
   std::vector<const Expr*> output_exprs;  // parallel to output columns
@@ -934,7 +897,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
   // The heap's footprint is known up front (`keep` entries of values +
   // sort keys), so the budget check happens before any row is emitted;
   // a breach degrades to the plain full sort.
-  ScopedMemCharge topk_mem(ctx);
+  ScopedMemCharge topk_mem(record);
   bool topk_degraded = false;
   if (use_topk && keep > 0) {
     const std::uint64_t estimate =
@@ -943,7 +906,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
     if (!topk_mem.charge(estimate)) {
       use_topk = false;
       topk_degraded = true;
-      if (ctx != nullptr) ctx->note_mem_degraded();
+      record.note_mem_degraded();
       if (explain) explain->add("order-by: top-k mem-degraded");
     }
   }
@@ -999,7 +962,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
     return eval_expr(*item.expr, working_row, params);
   };
 
-  const auto produce_start = rec.begin();
+  const auto produce_start = record.op_start(own);
   const std::uint64_t produce_rows_in = ws.rows.size();
   std::uint64_t group_entries = 0;  // groups materialized (either strategy)
   std::uint64_t group_mem = 0;      // bytes charged by the hash strategy
@@ -1008,7 +971,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
   if (!aggregated) {
     if (!use_topk) output.reserve(ws.rows.size());
     for (const auto& row : ws.rows) {
-      if (ctx != nullptr) ctx->poll();
+      record.poll();
       OutputRow out;
       out.values.reserve(output_exprs.size());
       for (const Expr* e : output_exprs) {
@@ -1084,11 +1047,11 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       // budget; a soft breach discards the table and degrades to the
       // ordered-map fallback below (which re-reads ws.rows — it is a
       // two-pass strategy anyway).
-      ScopedMemCharge mem(ctx);
+      ScopedMemCharge mem(record);
       bool degraded = false;
       GroupHashTable groups;
       for (const auto& row : ws.rows) {
-        if (ctx != nullptr) ctx->poll();
+        record.poll();
         bool inserted = false;
         GroupEntry& entry = groups.find_or_insert(
             group_key(row), [&](Row&& key, std::size_t hash) {
@@ -1112,7 +1075,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       group_mem = mem.charged();
       group_degraded = degraded;
       if (degraded) {
-        if (ctx != nullptr) ctx->note_mem_degraded();
+        record.note_mem_degraded();
         if (explain) explain->add("group-by: mem-degraded");
         hash_group_by = false;
       } else {
@@ -1128,7 +1091,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
         }
         group_entries = groups.entries().size();
         for (const auto& entry : groups.entries()) {
-          if (ctx != nullptr) ctx->poll();
+          record.poll();
           finish_group(entry.rep, entry.accumulators);
         }
       }
@@ -1139,7 +1102,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       // strategy.
       std::map<Row, std::vector<const Row*>> groups;
       for (const auto& row : ws.rows) {
-        if (ctx != nullptr) ctx->poll();
+        record.poll();
         groups[group_key(row)].push_back(&row);
       }
       if (groups.empty() && stmt.group_by.empty()) {
@@ -1150,7 +1113,7 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       }
       group_entries = groups.size();
       for (auto& [key, members] : groups) {
-        if (ctx != nullptr) ctx->poll();
+        record.poll();
         std::vector<Accumulator> accumulators = make_accumulators();
         for (const Row* row : members) accumulate(accumulators, *row);
         finish_group(members.empty() ? nullptr : members.front(), accumulators);
@@ -1159,16 +1122,16 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
   }
 
   if (aggregated) {
-    rec.record("group-by", produce_start, produce_rows_in, next_seq,
-               group_entries, group_mem, group_degraded);
+    record.op_end(own, "group-by", produce_start, produce_rows_in, next_seq,
+                  group_entries, group_mem, group_degraded);
   } else {
-    rec.record("project", produce_start, produce_rows_in, next_seq);
+    record.op_end(own, "project", produce_start, produce_rows_in, next_seq);
   }
 
   if (!stmt.order_by.empty()) {
     // rows_out < rows_in happens only on the Top-K path, which already
     // dropped beaten rows at emit time; the sort itself is row-preserving.
-    const auto sort_start = rec.begin();
+    const auto sort_start = record.op_start(own);
     if (use_topk) {
       std::sort_heap(output.begin(), output.end(), output_less);
       if (explain) {
@@ -1179,11 +1142,11 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       std::sort(output.begin(), output.end(), output_less);
       if (explain) explain->add("order-by: sort");
     }
-    rec.record("order-by", sort_start, next_seq, output.size(), 0,
-               topk_mem.charged(), topk_degraded);
+    record.op_end(own, "order-by", sort_start, next_seq, output.size(), 0,
+                  topk_mem.charged(), topk_degraded);
   }
 
-  const auto limit_start = rec.begin();
+  const auto limit_start = record.op_start(own);
   std::size_t begin = 0;
   std::size_t end = output.size();
   if (offset_count) begin = std::min(end, *offset_count);
@@ -1194,48 +1157,24 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
     result.rows.push_back(std::move(output[i].values));
   }
   if (limit_count || offset_count) {
-    rec.record("limit", limit_start, output.size(), result.rows.size());
+    record.op_end(own, "limit", limit_start, output.size(), result.rows.size());
   }
   return result;
 }
 
 ResultSetData execute_explain(Database& db, SelectStatement& stmt,
                               const Params& params, bool analyze) {
-  ExplainInfo info;
-  info.analyze = analyze;
-  execute_select(db, stmt, params, &info);
-  if (analyze) {
-    for (const auto& op : info.ops) {
-      std::string line = "analyze " + op.label +
-                         ": rows_in=" + std::to_string(op.rows_in) +
-                         " rows_out=" + std::to_string(op.rows_out) +
-                         " time_us=" + std::to_string(op.micros);
-      if (op.entries != 0) line += " entries=" + std::to_string(op.entries);
-      if (op.mem_bytes != 0) {
-        line += " mem_bytes=" + std::to_string(op.mem_bytes);
-      }
-      if (op.degraded) line += " degraded";
-      info.add(std::move(line));
-    }
-    // Pin the annotated plan into the statement's span and force it into
-    // the slow-query ring, so PERFDMF_SLOW_QUERIES keeps the operator
-    // breakdown of every EXPLAIN ANALYZE run.
-    if (telemetry::Span* span = telemetry::Span::current()) {
-      std::string plan;
-      for (const auto& line : info.lines) {
-        if (!plan.empty()) plan += '\n';
-        plan += line;
-      }
-      span->set_plan(std::move(plan));
-      span->force_trace();
-    }
-  }
+  std::optional<StatementRecord> bare;
+  StatementRecord& record = current_record(bare);
+  if (analyze) record.arm_analyze();
+  execute_select(db, stmt, params, record.claim_plan(true));
+  // EXPLAIN ANALYZE's operator lines join the record's plan, which also
+  // keeps the run in the slow-query ring (PERFDMF_SLOW_QUERIES).
+  if (analyze) record.finish_analyze();
   ResultSetData out;
   out.column_names = {"plan"};
-  out.rows.reserve(info.lines.size());
-  for (auto& line : info.lines) {
-    out.rows.push_back({Value(std::move(line))});
-  }
+  out.rows.reserve(record.plan.size());
+  for (const auto& line : record.plan) out.rows.push_back({Value(line)});
   return out;
 }
 

@@ -21,6 +21,7 @@
 namespace perfdmf::sqldb {
 
 class Database;
+class StatementRecord;
 
 struct ResultSetData {
   std::vector<std::string> column_names;
@@ -38,12 +39,11 @@ struct ExecutorTuning {
   bool top_k = true;
 };
 
-/// Per-operator runtime stats collected under EXPLAIN ANALYZE. Operators
-/// form a chain in pipeline order (from -> join* -> filter ->
-/// group-by|project -> order-by -> limit); each operator's rows_in is by
-/// construction the preceding operator's rows_out, and the operator
-/// timing intervals are disjoint, so their micros sum to at most the
-/// statement's total.
+/// One operator's runtime stats under EXPLAIN ANALYZE. Operators form a
+/// chain in pipeline order (from -> join* -> filter -> group-by|project
+/// -> order-by -> limit); each operator's rows_in is by construction the
+/// preceding operator's rows_out, and the operator timing intervals are
+/// disjoint, so their micros sum to at most the statement's total.
 struct OperatorStats {
   std::string label;            // "from t", "join b", "group-by", ...
   std::uint64_t rows_in = 0;
@@ -54,33 +54,23 @@ struct OperatorStats {
   bool degraded = false;        // operator fell back under memory pressure
 };
 
-/// Plan description collected while executing under EXPLAIN: one line per
-/// decision (base-table access path, join strategy per join, grouping
-/// strategy, ORDER BY strategy). The Connection layer appends a
-/// plan-cache line for EXPLAIN statements it serves. With `analyze` set
-/// (EXPLAIN ANALYZE) the executor additionally fills `ops` with runtime
-/// operator stats.
-struct ExplainInfo {
-  bool analyze = false;
-  std::vector<std::string> lines;
-  std::vector<OperatorStats> ops;
-  void add(std::string line) { lines.push_back(std::move(line)); }
-};
-
 /// Execute a SELECT. `params` supplies '?' bindings. The statement is
 /// mutated in place (column binding, temporary aggregate rewriting) but
 /// is restored to a reusable state, so prepared statements can re-execute
-/// it with different parameters. When `explain` is non-null the chosen
-/// strategies are recorded into it.
+/// it with different parameters. `explain` is the statement record that
+/// receives the plan: one line per decision (base-table access path, join
+/// strategy per join, grouping strategy, ORDER BY strategy) and, under
+/// EXPLAIN ANALYZE, the operator stats (StatementRecord::claim_plan).
 ResultSetData execute_select(Database& db, SelectStatement& stmt,
                              const Params& params,
-                             ExplainInfo* explain = nullptr);
+                             StatementRecord* explain = nullptr);
 
 /// EXPLAIN SELECT: run the select (so group/strategy decisions reflect the
 /// actual data) and return the plan lines as a one-column result. With
 /// `analyze` (EXPLAIN ANALYZE) each operator's runtime stats are appended
-/// as additional "analyze <op>: ..." lines and recorded into the active
-/// telemetry span so the slow-query ring gains operator-level detail.
+/// as additional "analyze <op>: ..." lines, and the statement's trace is
+/// kept in the slow-query ring with that operator-level detail. The
+/// Connection layer appends a plan-cache line for EXPLAIN statements.
 ResultSetData execute_explain(Database& db, SelectStatement& stmt,
                               const Params& params, bool analyze = false);
 

@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "telemetry/span.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -66,7 +65,7 @@ int AdmissionGovernor::queued() const {
   return static_cast<int>(queue_.size());
 }
 
-AdmissionSlot AdmissionGovernor::admit(StatementContext* ctx) {
+AdmissionSlot AdmissionGovernor::admit(StatementRecord* record) {
   if (!limited_.load(std::memory_order_relaxed)) return AdmissionSlot{};
 
   using Clock = std::chrono::steady_clock;
@@ -81,7 +80,7 @@ AdmissionSlot AdmissionGovernor::admit(StatementContext* ctx) {
     return AdmissionSlot{this};
   }
   if (static_cast<int>(queue_.size()) >= cfg_.max_queue) {
-    detail::gov_admission_rejected().add();
+    count_gov("gov.admission_rejected");
     std::ostringstream msg;
     msg << "overloaded: " << running_ << " statements executing, "
         << queue_.size() << " queued (admission queue full)";
@@ -91,12 +90,11 @@ AdmissionSlot AdmissionGovernor::admit(StatementContext* ctx) {
   const std::uint64_t ticket = next_ticket_++;
   queue_.push_back(ticket);
   // Queued: the time from here until admission is governance overhead,
-  // not execution — attribute it to the span's admission phase (and flag
+  // not execution — attribute it to the statement's admission phase (and
   // the live-statement view) instead of letting it hide in the execute
   // remainder.
-  telemetry::PhaseTimer admission_timer(telemetry::Phase::kAdmission,
-                                        &admission_wait_histogram());
-  ScopedPhaseLabel phase_label(ctx, "admission");
+  PhaseScope admission_phase(telemetry::Phase::kAdmission, record,
+                             &admission_wait_histogram());
   const auto shed_at = Clock::now() + std::chrono::milliseconds(cfg_.queue_timeout_ms);
   auto abandon = [&] {
     queue_.erase(std::find(queue_.begin(), queue_.end(), ticket));
@@ -109,9 +107,9 @@ AdmissionSlot AdmissionGovernor::admit(StatementContext* ctx) {
       abandon();
       return AdmissionSlot{};
     }
-    if (ctx != nullptr) {
+    if (record != nullptr) {
       try {
-        ctx->check_now();
+        record->check_now();
       } catch (...) {
         abandon();
         throw;
@@ -120,7 +118,7 @@ AdmissionSlot AdmissionGovernor::admit(StatementContext* ctx) {
     if (Clock::now() >= shed_at &&
         !(queue_.front() == ticket && running_ < cfg_.max_concurrent)) {
       abandon();
-      detail::gov_admission_rejected().add();
+      count_gov("gov.admission_rejected");
       std::ostringstream msg;
       msg << "overloaded: no execution slot within " << cfg_.queue_timeout_ms
           << " ms (queue-deadline shed)";

@@ -23,7 +23,7 @@
 #include <deque>
 #include <mutex>
 
-#include "sqldb/statement_context.h"
+#include "sqldb/statement_record.h"
 
 namespace perfdmf::sqldb {
 
@@ -80,7 +80,7 @@ class AdmissionGovernor {
   /// governor is disabled. Throws DbError{kOverloaded} on queue-full or
   /// queue-timeout shedding; DbError{kTimeout|kCancelled} if the
   /// statement's own governance fires while queued.
-  AdmissionSlot admit(StatementContext* ctx);
+  AdmissionSlot admit(StatementRecord* record);
 
   /// Statements currently holding slots (diagnostics/tests).
   int running() const;

@@ -30,9 +30,8 @@
 #include <thread>
 
 #include "sqldb/ast.h"
-#include "sqldb/statement_context.h"
+#include "sqldb/statement_record.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "util/error.h"
 #include "util/sanitizer.h"
 
@@ -78,23 +77,22 @@ class LockManager {
   LockManager(const LockManager&) = delete;
   LockManager& operator=(const LockManager&) = delete;
 
-  /// Reader access: drain lock shared. With a governed context the wait is
+  /// Reader access: drain lock shared. With a governed record the wait is
   /// bounded: the acquisition loop re-checks the statement's deadline and
   /// cancel flag every kWaitSlice, so a stalled DDL drain cannot hang a
   /// reader past its deadline (throws DbError{kTimeout|kCancelled}).
-  void lock_shared(StatementContext* ctx = nullptr) {
+  void lock_shared(StatementRecord* record = nullptr) {
     if (drain_.try_lock_shared()) {  // uncontended: skip wait timing
       drain_shared_holders_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    telemetry::PhaseTimer wait_phase(telemetry::Phase::kLockWait,
-                                     &detail::lock_wait_histogram());
+    PhaseScope wait_phase(telemetry::Phase::kLockWait, record,
+                          &detail::lock_wait_histogram());
     WaitTracker tracker(drain_waiters_, drain_wait_micros_);
-    ScopedPhaseLabel phase_label(ctx, "lock_wait");
-    if (!governed(ctx)) {
+    if (!governed(record)) {
       drain_.lock_shared();
     } else {
-      while (!drain_shared_try_slice(wait_slice(ctx))) ctx->check_now();
+      while (!drain_shared_try_slice(wait_slice(record))) record->check_now();
     }
     drain_shared_holders_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -104,8 +102,8 @@ class LockManager {
   }
 
   /// DML / transaction access: writer mutex, then drain lock shared.
-  void lock_writer(StatementContext* ctx = nullptr) {
-    lock_writer_mutex(ctx);
+  void lock_writer(StatementRecord* record = nullptr) {
+    lock_writer_mutex(record);
     // Cannot block: drain-exclusive holders acquire the writer mutex first,
     // so while we hold it only other shared holders touch the drain lock.
     drain_.lock_shared();
@@ -119,21 +117,20 @@ class LockManager {
   }
 
   /// DDL / checkpoint access: writer mutex, then drain every reader.
-  void lock_exclusive(StatementContext* ctx = nullptr) {
-    lock_writer_mutex(ctx);
+  void lock_exclusive(StatementRecord* record = nullptr) {
+    lock_writer_mutex(record);
     try {
       if (drain_.try_lock()) {
         drain_exclusive_holders_.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      telemetry::PhaseTimer wait_phase(telemetry::Phase::kLockWait,
-                                       &detail::lock_wait_histogram());
+      PhaseScope wait_phase(telemetry::Phase::kLockWait, record,
+                            &detail::lock_wait_histogram());
       WaitTracker tracker(drain_waiters_, drain_wait_micros_);
-      ScopedPhaseLabel phase_label(ctx, "lock_wait");
-      if (!governed(ctx)) {
+      if (!governed(record)) {
         drain_.lock();
       } else {
-        while (!drain_try_slice(wait_slice(ctx))) ctx->check_now();
+        while (!drain_try_slice(wait_slice(record))) record->check_now();
       }
       drain_exclusive_holders_.fetch_add(1, std::memory_order_relaxed);
     } catch (...) {
@@ -151,8 +148,8 @@ class LockManager {
 
   /// BEGIN: take the writer lock and record the owning thread so the
   /// transaction's own statements pass through without re-locking.
-  void acquire_transaction(StatementContext* ctx = nullptr) {
-    lock_writer(ctx);
+  void acquire_transaction(StatementRecord* record = nullptr) {
+    lock_writer(record);
     txn_owner_.store(std::this_thread::get_id(), std::memory_order_release);
   }
 
@@ -197,8 +194,9 @@ class LockManager {
   /// observed promptly, long enough that the retry loop is cheap.
   static constexpr std::chrono::milliseconds kWaitSlice{10};
 
-  static bool governed(const StatementContext* ctx) {
-    return ctx != nullptr && (ctx->deadline.armed() || ctx->cancel != nullptr);
+  static bool governed(const StatementRecord* record) {
+    return record != nullptr &&
+           (record->deadline.armed() || record->cancel != nullptr);
   }
 
 #if PERFDMF_TSAN
@@ -243,11 +241,11 @@ class LockManager {
     return drain_.try_lock_shared_for(slice);
 #endif
   }
-  static std::chrono::milliseconds wait_slice(StatementContext* ctx) {
-    const auto slice = ctx->deadline.remaining_or(kWaitSlice);
+  static std::chrono::milliseconds wait_slice(StatementRecord* record) {
+    const auto slice = record->deadline.remaining_or(kWaitSlice);
     // An already-expired deadline must deliver kTimeout immediately, not
     // after one more minimum-length sleep.
-    if (slice.count() <= 0) ctx->check_now();
+    if (slice.count() <= 0) record->check_now();
     return std::chrono::milliseconds(
         std::min<std::int64_t>(std::max<std::int64_t>(slice.count(), 1),
                                kWaitSlice.count()));
@@ -283,19 +281,18 @@ class LockManager {
     std::chrono::steady_clock::time_point start_;
   };
 
-  void lock_writer_mutex(StatementContext* ctx) {
+  void lock_writer_mutex(StatementRecord* record) {
     if (writer_.try_lock()) {  // uncontended: skip wait timing
       writer_holders_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    telemetry::PhaseTimer wait_phase(telemetry::Phase::kLockWait,
-                                     &detail::lock_wait_histogram());
+    PhaseScope wait_phase(telemetry::Phase::kLockWait, record,
+                          &detail::lock_wait_histogram());
     WaitTracker tracker(writer_waiters_, writer_wait_micros_);
-    ScopedPhaseLabel phase_label(ctx, "lock_wait");
-    if (!governed(ctx)) {
+    if (!governed(record)) {
       writer_.lock();
     } else {
-      while (!writer_try_slice(wait_slice(ctx))) ctx->check_now();
+      while (!writer_try_slice(wait_slice(record))) record->check_now();
     }
     writer_holders_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -323,39 +320,39 @@ class StatementGuard {
   enum class Level { kNone, kShared, kWriter, kExclusive };
 
   StatementGuard(LockManager& locks, StatementClass cls,
-                 StatementContext* ctx = nullptr)
+                 StatementRecord* record = nullptr)
       : locks_(locks) {
     if (locks_.owned_by_this_thread()) return;
     switch (cls) {
       case StatementClass::kRead:
-        acquire(Level::kShared, ctx);
+        acquire(Level::kShared, record);
         break;
       case StatementClass::kDdl:
-        acquire(Level::kExclusive, ctx);
+        acquire(Level::kExclusive, record);
         break;
       case StatementClass::kWrite:
       case StatementClass::kTxnBegin:
       case StatementClass::kTxnEnd:
-        acquire(Level::kWriter, ctx);
+        acquire(Level::kWriter, record);
         break;
     }
   }
 
   /// Explicit level (checkpoint wants kExclusive without being a DDL AST).
   StatementGuard(LockManager& locks, Level level,
-                 StatementContext* ctx = nullptr)
+                 StatementRecord* record = nullptr)
       : locks_(locks) {
     if (locks_.owned_by_this_thread()) return;
-    acquire(level, ctx);
+    acquire(level, record);
   }
 
   /// Legacy read-only/mutating split (metadata reflection paths).
   StatementGuard(LockManager& locks, bool read_only,
-                 StatementContext* ctx = nullptr)
+                 StatementRecord* record = nullptr)
       : StatementGuard(locks,
                        read_only ? StatementClass::kRead
                                  : StatementClass::kWrite,
-                       ctx) {}
+                       record) {}
 
   ~StatementGuard() {
     switch (held_) {
@@ -370,12 +367,12 @@ class StatementGuard {
   StatementGuard& operator=(const StatementGuard&) = delete;
 
  private:
-  void acquire(Level level, StatementContext* ctx) {
+  void acquire(Level level, StatementRecord* record) {
     switch (level) {
       case Level::kNone: break;
-      case Level::kShared: locks_.lock_shared(ctx); break;
-      case Level::kWriter: locks_.lock_writer(ctx); break;
-      case Level::kExclusive: locks_.lock_exclusive(ctx); break;
+      case Level::kShared: locks_.lock_shared(record); break;
+      case Level::kWriter: locks_.lock_writer(record); break;
+      case Level::kExclusive: locks_.lock_exclusive(record); break;
     }
     held_ = level;
   }

@@ -5,7 +5,7 @@
 
 #include "sqldb/database.h"
 #include "sqldb/lock_manager.h"
-#include "sqldb/statement_registry.h"
+#include "sqldb/statement_record.h"
 #include "sqldb/wal.h"
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"

@@ -9,9 +9,8 @@
 #include <cstdio>
 #include <cstring>
 
-#include "sqldb/statement_context.h"
+#include "sqldb/statement_record.h"
 #include "telemetry/metrics.h"
-#include "telemetry/span.h"
 #include "util/crc32.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -457,7 +456,8 @@ void Wal::write_all(std::string_view buffer, const char* site) {
 void Wal::sync_now() {
   static auto& fsync_micros =
       telemetry::MetricsRegistry::instance().histogram("sqldb.wal.fsync_micros");
-  telemetry::PhaseTimer fsync_phase(telemetry::Phase::kFsync, &fsync_micros);
+  PhaseScope fsync_phase(telemetry::Phase::kFsync, StatementRecord::current(),
+                         &fsync_micros);
   util::failpoint::evaluate("wal.sync");
   const auto start = std::chrono::steady_clock::now();
   if (fd_ >= 0 && ::fsync(fd_) != 0) {
@@ -554,8 +554,8 @@ void Wal::wait_durable(std::uint64_t seq) {
   commits.add();
   if (durable_seq_.load(std::memory_order_acquire) >= seq) return;
   // Everything from here until the covering round lands is durability
-  // wait, not execution: label the live-statement view and count
-  // ourselves in the group-commit queue depth.
+  // wait, not execution: attribute it to the statement's fsync phase
+  // and count ourselves in the group-commit queue depth.
   struct WaiterGuard {
     std::atomic<int>& n;
     explicit WaiterGuard(std::atomic<int>& c) : n(c) {
@@ -563,7 +563,7 @@ void Wal::wait_durable(std::uint64_t seq) {
     }
     ~WaiterGuard() { n.fetch_sub(1, std::memory_order_relaxed); }
   } waiter_guard(commit_waiters_);
-  ScopedPhaseLabel phase_label(StatementContext::current(), "fsync");
+  PhaseScope fsync_phase(telemetry::Phase::kFsync, StatementRecord::current());
   std::unique_lock<std::mutex> lk(commit_mutex_);
   for (;;) {
     if (durable_seq_.load(std::memory_order_acquire) >= seq) return;
@@ -574,10 +574,7 @@ void Wal::wait_durable(std::uint64_t seq) {
       const auto round_start = std::chrono::steady_clock::now();
       if (group_wait_.count() > 0) {
         // Accumulation window — nobody signals it; it is a bounded sleep
-        // that lets more committers finish their appends first. The
-        // leader's span pays for it as fsync time (sync_now() covers only
-        // the fsync proper).
-        telemetry::PhaseTimer accumulation_wait(telemetry::Phase::kFsync);
+        // that lets more committers finish their appends first.
         commit_cv_.wait_for(lk, group_wait_);
       }
       const std::uint64_t target = written_seq_.load(std::memory_order_acquire);
@@ -614,10 +611,9 @@ void Wal::wait_durable(std::uint64_t seq) {
               "wal.group_commit.follower_wait_micros");
       const std::uint64_t round = fail_round_;
       {
-        // A follower's block time is durability cost; without this it
-        // would vanish into the span's execute remainder.
-        telemetry::PhaseTimer follower_wait(telemetry::Phase::kFsync,
-                                            &follower_wait_micros);
+        PhaseScope follower_wait(telemetry::Phase::kFsync,
+                                 StatementRecord::current(),
+                                 &follower_wait_micros);
         commit_cv_.wait(lk);
       }
       if (durable_seq_.load(std::memory_order_acquire) >= seq) return;

@@ -1,19 +1,13 @@
 #include "telemetry/span.h"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
-
-#include "util/log.h"
 
 namespace perfdmf::telemetry {
 
 namespace {
-
-thread_local Span* t_current_span = nullptr;
 
 std::atomic<std::int64_t>& threshold_micros_storage() {
   static std::atomic<std::int64_t> value{[] {
@@ -25,18 +19,6 @@ std::atomic<std::int64_t>& threshold_micros_storage() {
     return static_cast<std::int64_t>(ms * 1000.0);
   }()};
   return value;
-}
-
-Histogram& statement_histogram() {
-  static Histogram& h =
-      MetricsRegistry::instance().histogram("sqldb.statement.total_micros");
-  return h;
-}
-
-std::string format_ms(double ms) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.3f", ms);
-  return buf;
 }
 
 /// Timestamps in the trace are relative to the first moment tracing was
@@ -57,13 +39,6 @@ std::atomic<bool>& trace_enabled_storage() {
   return value;
 }
 
-std::uint64_t micros_after_epoch(std::chrono::steady_clock::time_point t) {
-  const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                      t - trace_epoch())
-                      .count();
-  return us > 0 ? static_cast<std::uint64_t>(us) : 0;
-}
-
 /// Small stable per-thread ordinal for the exported `tid` field (raw
 /// thread ids are unwieldy 64-bit values in the trace viewer).
 std::uint32_t trace_thread_ordinal() {
@@ -72,8 +47,6 @@ std::uint32_t trace_thread_ordinal() {
       next.fetch_add(1, std::memory_order_relaxed);
   return ordinal;
 }
-
-std::atomic<std::uint64_t> g_next_span_id{1};
 
 }  // namespace
 
@@ -89,6 +62,12 @@ const char* phase_name(Phase phase) {
   return "?";
 }
 
+std::string format_ms(double ms) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.3f", ms);
+  return buf;
+}
+
 double slow_query_threshold_ms() {
   const std::int64_t us =
       threshold_micros_storage().load(std::memory_order_relaxed);
@@ -101,57 +80,6 @@ void set_slow_query_threshold_ms(double ms) {
       std::memory_order_relaxed);
 }
 
-// -------------------------------------------------------------- TraceRing
-
-TraceRing& TraceRing::instance() {
-  static TraceRing* ring = new TraceRing();  // never destroyed
-  return *ring;
-}
-
-void TraceRing::push(QueryTrace trace) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  trace.id = next_id_++;
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(trace));
-    return;
-  }
-  // Full: overwrite the oldest and rotate it to the back so ring_ stays
-  // in chronological order.
-  ring_.front() = std::move(trace);
-  std::rotate(ring_.begin(), ring_.begin() + 1, ring_.end());
-}
-
-std::vector<QueryTrace> TraceRing::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_;
-}
-
-std::size_t TraceRing::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-std::size_t TraceRing::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void TraceRing::set_capacity(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = std::max<std::size_t>(1, n);
-  if (ring_.size() > capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(ring_.size() - capacity_));
-  }
-}
-
-void TraceRing::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
-}
-
-// ----------------------------------------------------------- TraceBuffer
-
 bool trace_enabled() {
   return trace_enabled_storage().load(std::memory_order_relaxed);
 }
@@ -160,224 +88,25 @@ void set_trace_enabled(bool on) {
   trace_enabled_storage().store(on, std::memory_order_relaxed);
 }
 
-TraceBuffer& TraceBuffer::instance() {
-  static TraceBuffer* buffer = new TraceBuffer();  // never destroyed
-  return *buffer;
-}
-
-void TraceBuffer::push(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() < capacity_) {
-    ring_.push_back(std::move(event));
-    return;
-  }
-  ring_.front() = std::move(event);
-  std::rotate(ring_.begin(), ring_.begin() + 1, ring_.end());
-}
-
-std::vector<TraceEvent> TraceBuffer::snapshot() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_;
-}
-
-std::size_t TraceBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-std::size_t TraceBuffer::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void TraceBuffer::set_capacity(std::size_t n) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = std::max<std::size_t>(1, n);
-  if (ring_.size() > capacity_) {
-    ring_.erase(ring_.begin(),
-                ring_.begin() + static_cast<std::ptrdiff_t>(ring_.size() - capacity_));
-  }
-}
-
-void TraceBuffer::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
+std::uint64_t& current_trace_id() {
+  thread_local std::uint64_t id = 0;
+  return id;
 }
 
 void trace_emit(std::string name, const char* cat,
                 std::chrono::steady_clock::time_point start,
                 std::chrono::steady_clock::time_point end,
-                std::uint64_t parent) {
+                std::uint64_t parent, std::uint64_t id) {
   if (!enabled() || !trace_enabled()) return;
-  if (parent == 0) {
-    Span* span = Span::current();
-    if (span != nullptr && span->trace_armed()) parent = span->span_id();
-  }
   TraceEvent event;
-  event.parent = parent;
+  event.id = id;
+  event.parent = parent != 0 ? parent : current_trace_id();
   event.name = std::move(name);
   event.cat = cat;
-  event.ts_us = micros_after_epoch(start);
-  event.dur_us = end > start
-                     ? static_cast<std::uint64_t>(
-                           std::chrono::duration_cast<std::chrono::microseconds>(
-                               end - start)
-                               .count())
-                     : 0;
+  event.ts_us = micros_between(trace_epoch(), start);
+  event.dur_us = micros_between(start, end);
   event.tid = trace_thread_ordinal();
   TraceBuffer::instance().push(std::move(event));
-}
-
-// ------------------------------------------------------------------ Span
-
-Span* Span::current() { return t_current_span; }
-
-Span::Span(std::string_view sql) : sql_(sql) {
-  if (!enabled()) return;
-  active_ = true;
-  threshold_micros_ = threshold_micros_storage().load(std::memory_order_relaxed);
-  slow_armed_ = threshold_micros_ >= 0;
-  trace_armed_ = trace_enabled();
-  start_ = std::chrono::steady_clock::now();
-  if (slow_armed_) wall_start_ = std::chrono::system_clock::now();
-  prev_ = t_current_span;
-  if (trace_armed_) {
-    span_id_ = g_next_span_id.fetch_add(1, std::memory_order_relaxed);
-    if (prev_ != nullptr && prev_->trace_armed()) parent_id_ = prev_->span_id();
-  }
-  t_current_span = this;
-}
-
-Span::~Span() {
-  if (!active_) return;
-  t_current_span = prev_;
-  const auto end = std::chrono::steady_clock::now();
-  const auto total_us = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-          .count());
-  statement_histogram().record(total_us);
-  // Execute is whatever the explicitly timed phases don't account for.
-  std::uint64_t attributed = 0;
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    if (i != static_cast<std::size_t>(Phase::kExecute)) {
-      attributed += phase_micros_[i];
-    }
-  }
-  phase_micros_[static_cast<std::size_t>(Phase::kExecute)] =
-      total_us > attributed ? total_us - attributed : 0;
-
-  if (trace_armed_ && trace_enabled()) {
-    TraceEvent event;
-    event.id = span_id_;
-    event.parent = parent_id_;
-    constexpr std::size_t kNameMax = 120;
-    event.name = std::string(sql_.substr(0, kNameMax));
-    if (sql_.size() > kNameMax) event.name += "...";
-    event.cat = "statement";
-    event.ts_us = micros_after_epoch(start_);
-    event.dur_us = total_us;
-    event.tid = trace_thread_ordinal();
-    TraceBuffer::instance().push(std::move(event));
-  }
-
-  const bool killed = std::strcmp(outcome_, "completed") != 0;
-  const bool slow = slow_armed_ &&
-                    total_us >= static_cast<std::uint64_t>(threshold_micros_);
-  if (!killed && !slow && !forced_) return;
-  if (!slow_armed_) {
-    // Killed (or force-traced) with the slow log disarmed: the wall start
-    // was never captured eagerly, so reconstruct it from the duration.
-    wall_start_ = std::chrono::system_clock::now() -
-                  std::chrono::microseconds(total_us);
-  }
-
-  QueryTrace trace;
-  trace.started_at = [this] {
-    const std::time_t secs = std::chrono::system_clock::to_time_t(wall_start_);
-    const auto millis = std::chrono::duration_cast<std::chrono::milliseconds>(
-                            wall_start_.time_since_epoch())
-                            .count() %
-                        1000;
-    std::tm tm{};
-    gmtime_r(&secs, &tm);
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ",
-                  tm.tm_year + 1900, tm.tm_mon + 1, tm.tm_mday, tm.tm_hour,
-                  tm.tm_min, tm.tm_sec, static_cast<int>(millis));
-    return std::string(buf);
-  }();
-  trace.thread = util::current_thread_id();
-  trace.sql = std::string(sql_);
-  trace.plan = std::move(plan_);
-  trace.total_ms = static_cast<double>(total_us) / 1000.0;
-  trace.outcome = outcome_;
-  for (std::size_t i = 0; i < kPhaseCount; ++i) {
-    trace.phase_ms[i] = static_cast<double>(phase_micros_[i]) / 1000.0;
-  }
-
-  // Force-traced statements (EXPLAIN ANALYZE) that completed normally and
-  // under the threshold are recorded silently — they are deliberate
-  // instrumentation, not incidents worth a warning line.
-  if (killed || slow) {
-    std::string line;
-    if (killed) {
-      line = "query ";
-      line += outcome_;
-      line += " (";
-      line += format_ms(trace.total_ms);
-      line += " ms): ";
-    } else {
-      line = "slow query (";
-      line += format_ms(trace.total_ms);
-      line += " ms >= ";
-      line += format_ms(static_cast<double>(threshold_micros_) / 1000.0);
-      line += " ms): ";
-    }
-    line.append(sql_.data(), sql_.size());
-    line += " |";
-    for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      line += ' ';
-      line += phase_name(static_cast<Phase>(i));
-      line += '=';
-      line += format_ms(trace.phase_ms[i]);
-      line += "ms";
-    }
-    if (!trace.plan.empty()) {
-      std::string flat = trace.plan;
-      std::replace(flat.begin(), flat.end(), '\n', ';');
-      line += " | plan: ";
-      line += flat;
-    }
-    util::log_message(util::LogLevel::kWarn, line);
-  }
-
-  TraceRing::instance().push(std::move(trace));
-}
-
-// ------------------------------------------------------------- PhaseTimer
-
-PhaseTimer::PhaseTimer(Phase phase, Histogram* histogram)
-    : phase_(phase), histogram_(histogram), span_(Span::current()) {
-  if (span_ != nullptr && !span_->armed()) span_ = nullptr;
-  if (!enabled()) histogram_ = nullptr;
-  if (span_ != nullptr || histogram_ != nullptr) {
-    start_ = std::chrono::steady_clock::now();
-  }
-}
-
-PhaseTimer::~PhaseTimer() {
-  if (span_ == nullptr && histogram_ == nullptr) return;
-  const auto end = std::chrono::steady_clock::now();
-  const auto micros = static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
-          .count());
-  if (span_ != nullptr) {
-    span_->add_phase_micros(phase_, micros);
-    if (span_->trace_armed()) {
-      trace_emit(phase_name(phase_), "phase", start_, end, span_->span_id());
-    }
-  }
-  if (histogram_ != nullptr) histogram_->record(micros);
 }
 
 // ----------------------------------------------------------- JSON export
@@ -385,28 +114,18 @@ PhaseTimer::~PhaseTimer() {
 std::string traces_to_json() {
   const auto traces = TraceRing::instance().snapshot();
   std::string out = "{\"traces\":[";
-  bool first = true;
   for (const auto& t : traces) {
-    if (!first) out += ',';
-    first = false;
+    if (out.back() != '[') out += ',';
     out += "{\"id\":" + std::to_string(t.id);
     out += ",\"started_at\":\"" + json_escape(t.started_at) + '"';
     out += ",\"thread\":\"" + json_escape(t.thread) + '"';
     out += ",\"sql\":\"" + json_escape(t.sql) + '"';
     out += ",\"plan\":\"" + json_escape(t.plan) + '"';
     out += ",\"outcome\":\"" + json_escape(t.outcome) + '"';
-    char buf[40];
-    std::snprintf(buf, sizeof buf, "%.3f", t.total_ms);
-    out += ",\"total_ms\":";
-    out += buf;
-    out += ",\"phases\":{";
+    out += ",\"total_ms\":" + format_ms(t.total_ms) + ",\"phases\":{";
     for (std::size_t i = 0; i < kPhaseCount; ++i) {
-      if (i != 0) out += ',';
-      out += '"';
-      out += phase_name(static_cast<Phase>(i));
-      out += "\":";
-      std::snprintf(buf, sizeof buf, "%.3f", t.phase_ms[i]);
-      out += buf;
+      out += std::string(i == 0 ? "\"" : ",\"") +
+             phase_name(static_cast<Phase>(i)) + "\":" + format_ms(t.phase_ms[i]);
     }
     out += "}}";
   }
@@ -417,10 +136,8 @@ std::string traces_to_json() {
 std::string traces_to_chrome_json() {
   const auto events = TraceBuffer::instance().snapshot();
   std::string out = "{\"traceEvents\":[";
-  bool first = true;
   for (const auto& e : events) {
-    if (!first) out += ',';
-    first = false;
+    if (out.back() != '[') out += ',';
     out += "{\"name\":\"" + json_escape(e.name) + '"';
     out += ",\"cat\":\"" + json_escape(e.cat) + '"';
     out += ",\"ph\":\"X\"";

@@ -1,35 +1,16 @@
-// Query-lifecycle spans and the trace timeline.
-//
-// Every sqldb statement runs under an RAII Span that accumulates a
-// per-phase time breakdown (parse -> plan -> admission -> lock-wait ->
-// execute -> fsync). Instrumentation sites attribute time to the current
-// thread's span through PhaseTimer / add_phase_micros; the execute phase
-// is derived at finish as the unattributed remainder, so the breakdown is
-// disjoint and sums to the total.
-//
-// Statements slower than the configurable threshold (PERFDMF_SLOW_QUERY_MS
-// or set_slow_query_threshold_ms) are copied into a bounded ring buffer —
-// served back as the PERFDMF_SLOW_QUERIES virtual table — and logged
-// through util::log with SQL text, phase breakdown, and the EXPLAIN
-// access path. EXPLAIN ANALYZE forces its annotated trace into the same
-// ring regardless of the threshold (force_trace()). With everything
-// disarmed (the default) a span is two clock reads and a histogram
-// record; SQL text is never copied.
-//
-// Trace timeline: with PERFDMF_TRACE=1 (or set_trace_enabled(true)) every
-// span carries an id and its enclosing span's id, and finished spans,
-// phases, executor operators, WAL group-commit rounds, and checkpoint/GC
-// passes are recorded as complete events in a bounded in-memory
-// TraceBuffer. traces_to_chrome_json() renders the buffer in Chrome
-// trace-event format, loadable in chrome://tracing or Perfetto.
+// What statements report into: the phase vocabulary, the slow-query ring
+// (PERFDMF_SLOW_QUERIES; threshold from PERFDMF_SLOW_QUERY_MS) and the
+// trace timeline (PERFDMF_TRACE=1: statements, phases, operators, WAL
+// group-commit rounds and checkpoint passes as Chrome trace events). A
+// statement's own state lives in its sqldb::StatementRecord.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "telemetry/metrics.h"
@@ -40,9 +21,17 @@ enum class Phase { kParse = 0, kPlan, kAdmission, kLockWait, kExecute, kFsync };
 inline constexpr std::size_t kPhaseCount = 6;
 
 const char* phase_name(Phase phase);
+/// `ms` with three decimals, the precision of every exported duration.
+std::string format_ms(double ms);
+/// Whole microseconds from `start` to `end` (0 if `end` is earlier).
+inline std::uint64_t micros_between(std::chrono::steady_clock::time_point start,
+                                    std::chrono::steady_clock::time_point end) {
+  const auto us =
+      std::chrono::duration_cast<std::chrono::microseconds>(end - start).count();
+  return us > 0 ? static_cast<std::uint64_t>(us) : 0;
+}
 
-/// One finished slow statement, as stored in the ring buffer and served
-/// by the PERFDMF_SLOW_QUERIES system table.
+/// One kept statement: a TraceRing entry and a PERFDMF_SLOW_QUERIES row.
 struct QueryTrace {
   std::uint64_t id = 0;        // monotonic per process
   std::string started_at;      // ISO-8601 UTC
@@ -59,45 +48,14 @@ struct QueryTrace {
 double slow_query_threshold_ms();
 void set_slow_query_threshold_ms(double ms);
 
-/// Bounded buffer of the most recent slow-query traces (process-global).
-class TraceRing {
- public:
-  static constexpr std::size_t kDefaultCapacity = 256;
-
-  static TraceRing& instance();
-
-  void push(QueryTrace trace);
-  /// Retained traces, oldest first.
-  std::vector<QueryTrace> snapshot() const;
-  std::size_t size() const;
-  std::size_t capacity() const;
-  /// Shrinking drops the oldest traces; capacity 0 is clamped to 1.
-  void set_capacity(std::size_t n);
-  void clear();
-
-  TraceRing(const TraceRing&) = delete;
-  TraceRing& operator=(const TraceRing&) = delete;
-
- private:
-  TraceRing() = default;
-
-  mutable std::mutex mutex_;
-  std::vector<QueryTrace> ring_;   // chronological; rotated on overflow
-  std::size_t capacity_ = kDefaultCapacity;
-  std::uint64_t next_id_ = 1;
-};
-
-// ------------------------------------------------------- trace timeline
-
 /// Runtime trace switch. Initialized once from PERFDMF_TRACE (unset, "0",
 /// "false", "off" -> disabled); flips at runtime via set_trace_enabled.
 bool trace_enabled();
 void set_trace_enabled(bool on);
 
-/// One complete ("ph":"X") event on the trace timeline. Timestamps are
-/// microseconds relative to the process trace epoch; `tid` is a small
-/// per-thread ordinal. `id` is non-zero for statement spans; `parent`
-/// links phases/operators to their enclosing statement span.
+/// One complete ("ph":"X") timeline event; times in microseconds since the
+/// process trace epoch, `tid` a small per-thread ordinal. `id` is set on
+/// statement events; `parent` links phases/operators to their statement.
 struct TraceEvent {
   std::uint64_t id = 0;
   std::uint64_t parent = 0;
@@ -108,127 +66,93 @@ struct TraceEvent {
   std::uint32_t tid = 0;
 };
 
-/// Bounded in-memory buffer of the most recent trace events
-/// (process-global; same rotation policy as TraceRing).
-class TraceBuffer {
+/// Process-global buffer of the newest items: a push into a full ring
+/// overwrites the oldest in place (O(1)); snapshots are oldest first.
+/// With `kStampIds` each pushed item gets the next monotonic `id`.
+template <typename T, std::size_t Capacity, bool kStampIds = false>
+class BoundedRing {
  public:
-  static constexpr std::size_t kDefaultCapacity = 4096;
+  static constexpr std::size_t kDefaultCapacity = Capacity;
 
-  static TraceBuffer& instance();
+  static BoundedRing& instance() {
+    static BoundedRing* ring = new BoundedRing();  // never destroyed
+    return *ring;
+  }
 
-  void push(TraceEvent event);
-  std::vector<TraceEvent> snapshot() const;
-  std::size_t size() const;
-  std::size_t capacity() const;
-  void set_capacity(std::size_t n);
-  void clear();
+  void push(T item) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if constexpr (kStampIds) item.id = next_id_++;
+    if (items_.size() < capacity_) {  // not yet full: head_ is 0
+      items_.push_back(std::move(item));
+    } else {
+      items_[head_] = std::move(item);
+      head_ = (head_ + 1) % capacity_;
+    }
+  }
+  std::vector<T> snapshot() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return ordered();
+  }
+  std::size_t size() const {
+    std::lock_guard<std::mutex> lock(mutex_);
+    return items_.size();
+  }
+  /// Shrinking drops the oldest items; capacity 0 is clamped to 1.
+  void set_capacity(std::size_t n) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    std::vector<T> items = ordered();
+    capacity_ = std::max<std::size_t>(1, n);
+    if (items.size() > capacity_) {
+      items.erase(items.begin(),
+                  items.end() - static_cast<std::ptrdiff_t>(capacity_));
+    }
+    items_ = std::move(items);
+    head_ = 0;
+  }
+  void clear() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    items_.clear();
+    head_ = 0;
+  }
 
-  TraceBuffer(const TraceBuffer&) = delete;
-  TraceBuffer& operator=(const TraceBuffer&) = delete;
+  BoundedRing(const BoundedRing&) = delete;
+  BoundedRing& operator=(const BoundedRing&) = delete;
 
  private:
-  TraceBuffer() = default;
+  BoundedRing() = default;
+
+  std::vector<T> ordered() const {
+    const auto head = items_.begin() + static_cast<std::ptrdiff_t>(head_);
+    std::vector<T> out(head, items_.end());
+    out.insert(out.end(), items_.begin(), head);
+    return out;
+  }
 
   mutable std::mutex mutex_;
-  std::vector<TraceEvent> ring_;
-  std::size_t capacity_ = kDefaultCapacity;
+  std::vector<T> items_;  // once full, items_[head_] is the oldest
+  std::size_t head_ = 0;
+  std::size_t capacity_ = Capacity;
+  std::uint64_t next_id_ = 1;
 };
 
+/// The most recent slow-query traces; ids are stamped on push.
+using TraceRing = BoundedRing<QueryTrace, 256, true>;
+/// The most recent trace-timeline events.
+using TraceBuffer = BoundedRing<TraceEvent, 4096>;
+
+/// Id of the calling thread's innermost traced statement (0: none). A
+/// traced statement sets it for its lifetime and restores the enclosing
+/// value when it finishes.
+std::uint64_t& current_trace_id();
+
 /// Record one complete event into the trace buffer. No-op unless tracing
-/// is compiled in and enabled. `parent` 0 means "the calling thread's
-/// current traced span, if any" — instrumentation sites (executor
-/// operators, WAL group-commit rounds, checkpoint passes) never need to
-/// thread span ids through explicitly.
+/// is compiled in and enabled. `parent` 0 means current_trace_id(), so
+/// instrumentation sites (WAL group-commit rounds, checkpoint passes)
+/// never need to thread statement ids through explicitly.
 void trace_emit(std::string name, const char* cat,
                 std::chrono::steady_clock::time_point start,
                 std::chrono::steady_clock::time_point end,
-                std::uint64_t parent = 0);
-
-/// RAII lifecycle span for one statement. Construct with the SQL text
-/// (borrowed — must outlive the span); destruction finishes the span.
-/// At most one span per thread is current; nesting restores the outer
-/// span (views executing inner statements keep attribution sane).
-class Span {
- public:
-  explicit Span(std::string_view sql);
-  ~Span();
-  Span(const Span&) = delete;
-  Span& operator=(const Span&) = delete;
-
-  /// The calling thread's innermost live span, or nullptr.
-  static Span* current();
-
-  bool active() const { return active_; }
-  /// True when the slow-query log is armed for this span.
-  bool slow_armed() const { return active_ && slow_armed_; }
-  /// True when phase attribution has a consumer: the slow-query log, an
-  /// EXPLAIN ANALYZE breakdown, or the trace timeline. PhaseTimer skips
-  /// its clock reads entirely when this is false.
-  bool armed() const {
-    return active_ && (slow_armed_ || analyze_armed_ || trace_armed_);
-  }
-  /// True when the executor should spend the extra effort of capturing
-  /// EXPLAIN output via set_plan().
-  bool wants_plan() const { return slow_armed(); }
-  void set_plan(std::string plan) { plan_ = std::move(plan); }
-
-  /// EXPLAIN ANALYZE: attribute phases even without a slow threshold.
-  void arm_analyze() { analyze_armed_ = active_; }
-  /// Push this span's trace into the slow-query ring at finish even if it
-  /// completed under the threshold (EXPLAIN ANALYZE recording).
-  void force_trace() { forced_ = active_; }
-
-  /// True when this span records onto the trace timeline.
-  bool trace_armed() const { return active_ && trace_armed_; }
-  std::uint64_t span_id() const { return span_id_; }
-
-  void add_phase_micros(Phase phase, std::uint64_t micros) {
-    phase_micros_[static_cast<std::size_t>(phase)] += micros;
-  }
-
-  /// Statement outcome recorded in the trace: "completed" (default),
-  /// "timed_out", or "cancelled". Must be a string literal (borrowed).
-  /// A killed statement's trace is pushed to the ring even when it
-  /// finished under the slow threshold — a query the governor killed is
-  /// exactly the one an operator wants to see.
-  void set_outcome(const char* outcome) { outcome_ = outcome; }
-  const char* outcome() const { return outcome_; }
-
- private:
-  const char* outcome_ = "completed";
-  std::string_view sql_;
-  std::string plan_;
-  std::array<std::uint64_t, kPhaseCount> phase_micros_{};
-  std::chrono::steady_clock::time_point start_{};
-  std::chrono::system_clock::time_point wall_start_{};
-  std::int64_t threshold_micros_ = -1;
-  std::uint64_t span_id_ = 0;
-  std::uint64_t parent_id_ = 0;
-  Span* prev_ = nullptr;
-  bool active_ = false;
-  bool slow_armed_ = false;
-  bool analyze_armed_ = false;
-  bool trace_armed_ = false;
-  bool forced_ = false;
-};
-
-/// Times one phase from construction to destruction, attributing the
-/// elapsed microseconds to the calling thread's current span (if any)
-/// and to `histogram` (if given). Traced spans additionally get a phase
-/// event on the trace timeline. Inert when no sink applies.
-class PhaseTimer {
- public:
-  explicit PhaseTimer(Phase phase, Histogram* histogram = nullptr);
-  ~PhaseTimer();
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-
- private:
-  Phase phase_;
-  Histogram* histogram_;
-  Span* span_;
-  std::chrono::steady_clock::time_point start_{};
-};
+                std::uint64_t parent = 0, std::uint64_t id = 0);
 
 /// The slow-query ring as a JSON object string:
 /// {"traces":[{"id":...,"sql":...,"phases":{...}},...]}.

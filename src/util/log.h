@@ -5,6 +5,7 @@
 // timestamp, the thread id, and the level.
 #pragma once
 
+#include <chrono>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -20,11 +21,16 @@ LogLevel log_level();
 /// Parse a level name ("debug", "INFO", ...). nullopt on unknown input.
 std::optional<LogLevel> parse_log_level(std::string_view name);
 
+/// `t` as UTC "YYYY-MM-DDTHH:MM:SS.mmmZ".
+std::string iso8601(std::chrono::system_clock::time_point t);
 /// Current UTC wall-clock time as "YYYY-MM-DDTHH:MM:SS.mmmZ".
-std::string iso8601_now();
+inline std::string iso8601_now() {
+  return iso8601(std::chrono::system_clock::now());
+}
 
-/// Printable id of the calling thread (stable for the thread's lifetime).
-std::string current_thread_id();
+/// Printable id of the calling thread (stable for the thread's lifetime;
+/// the reference stays valid until the thread exits).
+const std::string& current_thread_id();
 
 /// Emit one log line if `level` is enabled. Thread-safe (single write call).
 void log_message(LogLevel level, const std::string& message);

@@ -1,7 +1,7 @@
 // Introspection: EXPLAIN ANALYZE operator stats, the live system tables
 // (PERFDMF_STATEMENTS / PERFDMF_TRANSACTIONS / PERFDMF_LOCKS /
-// PERFDMF_WAL), phase attribution for admission waits, and the JSON /
-// Chrome-trace exports.
+// PERFDMF_WAL), phase attribution for admission, lock and fsync waits,
+// and the JSON / Chrome-trace exports.
 //
 // The contract under test (DESIGN.md "Observability"):
 //
@@ -40,12 +40,15 @@
 #include "telemetry/metrics.h"
 #include "telemetry/span.h"
 #include "util/error.h"
+#include "util/failpoint.h"
+#include "util/file.h"
 #include "util/json.h"
 
 using namespace perfdmf::sqldb;
 using perfdmf::DbError;
 namespace telemetry = perfdmf::telemetry;
 namespace json = perfdmf::util::json;
+namespace fp = perfdmf::util::failpoint;
 
 namespace {
 
@@ -416,6 +419,99 @@ TEST(AdmissionPhase, WaitIsAttributedToAdmissionNotExecute) {
   }
   telemetry::set_slow_query_threshold_ms(saved);
   shared->governor().configure({0, 0, 0});  // disable again
+}
+
+/// Polls PERFDMF_STATEMENTS from `observer` until some statement shows
+/// `phase` (registration and the phase store race with the poll, but
+/// every caller's wait outlasts it).
+bool poll_for_phase(Connection& observer, const std::string& phase) {
+  for (int i = 0; i < 2000; ++i) {
+    auto rs = observer.execute(
+        "SELECT COUNT(*) FROM PERFDMF_STATEMENTS WHERE phase = '" + phase +
+        "'");
+    rs.next();
+    if (rs.get_int(1) >= 1) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return false;
+}
+
+/// The slow-query trace of the statement whose SQL contains `needle`
+/// (the newest one), or nullptr.
+const telemetry::QueryTrace* find_trace(
+    const std::vector<telemetry::QueryTrace>& traces, const std::string& needle) {
+  const telemetry::QueryTrace* found = nullptr;
+  for (const auto& t : traces) {
+    if (t.sql.find(needle) != std::string::npos) found = &t;
+  }
+  return found;
+}
+
+double phase_ms(const telemetry::QueryTrace& trace, telemetry::Phase phase) {
+  return trace.phase_ms[static_cast<std::size_t>(phase)];
+}
+
+TEST(LockWaitPhase, WriterMutexWaitIsAttributedToLockWait) {
+  auto shared = std::make_shared<Database>();
+  Connection holder(shared);
+  holder.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+
+  const double saved = telemetry::slow_query_threshold_ms();
+  telemetry::set_slow_query_threshold_ms(0.0);  // every statement is "slow"
+  telemetry::TraceRing::instance().clear();
+
+  holder.begin();  // holds the writer mutex until commit
+  std::thread blocked([&] {
+    Connection c(shared);
+    c.execute_update("INSERT INTO t (v) VALUES (7)");
+  });
+  // The holder's own SELECTs pass through its transaction's lock.
+  EXPECT_TRUE(poll_for_phase(holder, "lock_wait"));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  holder.commit();
+  blocked.join();
+
+  if (telemetry::compiled_in()) {
+    const auto traces = telemetry::TraceRing::instance().snapshot();
+    const telemetry::QueryTrace* insert = find_trace(traces, "VALUES (7)");
+    ASSERT_NE(insert, nullptr);
+    EXPECT_GT(phase_ms(*insert, telemetry::Phase::kLockWait), 0.0)
+        << "the writer-mutex wait must land in the lock_wait phase";
+  }
+  telemetry::set_slow_query_threshold_ms(saved);
+}
+
+TEST(FsyncPhase, DurabilityWaitIsAttributedToFsync) {
+  perfdmf::util::ScopedTempDir dir;
+  DurabilityOptions options;
+  options.sync = SyncMode::kAlways;
+  auto shared = std::make_shared<Database>(dir.path() / "db", options);
+  Connection observer(shared);
+  observer.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+
+  const double saved = telemetry::slow_query_threshold_ms();
+  telemetry::set_slow_query_threshold_ms(0.0);
+  telemetry::TraceRing::instance().clear();
+
+  // Every fsync from here on is held for kDelayMs, the INSERT's included.
+  constexpr int kDelayMs = 60;
+  fp::enable_every("wal.sync", perfdmf::util::FailAction::kDelay, 1, kDelayMs);
+  std::thread committing([&] {
+    Connection c(shared);
+    c.execute_update("INSERT INTO t (v) VALUES (8)");
+  });
+  EXPECT_TRUE(poll_for_phase(observer, "fsync"));
+  committing.join();
+  fp::disable("wal.sync");
+
+  if (telemetry::compiled_in()) {
+    const auto traces = telemetry::TraceRing::instance().snapshot();
+    const telemetry::QueryTrace* insert = find_trace(traces, "VALUES (8)");
+    ASSERT_NE(insert, nullptr);
+    EXPECT_GE(phase_ms(*insert, telemetry::Phase::kFsync), kDelayMs)
+        << "the delayed commit fsync must land in the fsync phase";
+  }
+  telemetry::set_slow_query_threshold_ms(saved);
 }
 
 // ------------------------------------------------------------- exports

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "sqldb/connection.h"
@@ -130,31 +131,59 @@ TEST(Histogram, PercentilesTrackExactQuantiles) {
   EXPECT_DOUBLE_EQ(h.percentile(0.5), 0.0);
 }
 
-// -------------------------------------------------------------- TraceRing
+// ---------------------------------------------------------- bounded rings
 
-TEST(TraceRing, WraparoundKeepsNewestInOrder) {
-  auto& ring = TraceRing::instance();
+// TraceRing (slow-query traces, ids stamped on push) and TraceBuffer
+// (timeline events) are one BoundedRing template: both keep the newest
+// items in order across wraparound and drop the oldest when shrunk.
+template <typename Ring>
+class TraceRings : public ::testing::Test {
+ protected:
+  using Item = typename decltype(Ring::instance().snapshot())::value_type;
+
+  static std::string& label(QueryTrace& t) { return t.sql; }
+  static std::string& label(TraceEvent& e) { return e.name; }
+  static std::string label_of(Item item) { return label(item); }
+  static Item make(int i) {
+    Item item;
+    label(item) = "q" + std::to_string(i);
+    return item;
+  }
+};
+using RingTypes = ::testing::Types<TraceRing, TraceBuffer>;
+TYPED_TEST_SUITE(TraceRings, RingTypes);
+
+TYPED_TEST(TraceRings, WraparoundKeepsNewestInOrder) {
+  auto& ring = TypeParam::instance();
   ring.clear();
   ring.set_capacity(4);
-  for (int i = 0; i < 10; ++i) {
-    QueryTrace trace;
-    trace.sql = "q" + std::to_string(i);
-    ring.push(std::move(trace));
-  }
+  for (int i = 0; i < 10; ++i) ring.push(this->make(i));
   EXPECT_EQ(ring.size(), 4u);
   const auto snap = ring.snapshot();
   ASSERT_EQ(snap.size(), 4u);
-  EXPECT_EQ(snap.front().sql, "q6");
-  EXPECT_EQ(snap.back().sql, "q9");
-  for (std::size_t i = 1; i < snap.size(); ++i) {
-    EXPECT_LT(snap[i - 1].id, snap[i].id);  // ids stay monotonic
+  for (std::size_t i = 0; i < snap.size(); ++i) {
+    EXPECT_EQ(this->label_of(snap[i]), "q" + std::to_string(6 + i));
   }
-  // Shrinking drops the oldest retained traces.
+  if constexpr (std::is_same_v<TypeParam, TraceRing>) {
+    for (std::size_t i = 1; i < snap.size(); ++i) {
+      EXPECT_LT(snap[i - 1].id, snap[i].id);  // ids stay monotonic
+    }
+  }
+  // Shrinking a wrapped ring drops the oldest retained items.
   ring.set_capacity(2);
   const auto shrunk = ring.snapshot();
   ASSERT_EQ(shrunk.size(), 2u);
-  EXPECT_EQ(shrunk.front().sql, "q8");
-  ring.set_capacity(TraceRing::kDefaultCapacity);
+  EXPECT_EQ(this->label_of(shrunk.front()), "q8");
+  EXPECT_EQ(this->label_of(shrunk.back()), "q9");
+  // Growing keeps the order; the ring fills before it overwrites again.
+  ring.set_capacity(3);
+  ring.push(this->make(10));
+  ring.push(this->make(11));
+  const auto grown = ring.snapshot();
+  ASSERT_EQ(grown.size(), 3u);
+  EXPECT_EQ(this->label_of(grown.front()), "q9");
+  EXPECT_EQ(this->label_of(grown.back()), "q11");
+  ring.set_capacity(TypeParam::kDefaultCapacity);
   ring.clear();
 }
 

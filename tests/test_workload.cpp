@@ -3,12 +3,13 @@
 //   - util::Zipfian draws the YCSB-shaped skew it claims (log-log
 //     frequency-rank slope ≈ -theta) and is deterministic under a seed;
 //   - util::seed_from_env implements the PERFDMF_SEED replay contract;
-//   - bench_json output (escaping, schema_version, non-finite -> null)
-//     parses back through perfguard's reader;
+//   - bench_json output (escaping, schema_version, machine stamp,
+//     non-finite -> null) parses back through perfguard's reader;
 //   - perfguard's regression math over the sqldb-hosted PERF_RUNS /
 //     PERF_METRICS store: pass, fail, direction, missing-metric,
 //     new-metric, zero-baseline, and first-run cases — including the
-//     injected->N% regression the check.sh gate must catch.
+//     injected->N% regression the check.sh gate must catch — and the
+//     machine stamps it reports without changing a verdict.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,6 +19,7 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "../bench/bench_json.h"
@@ -165,6 +167,23 @@ TEST(BenchJsonParse, EmittedFileRoundTripsThroughBenchJson) {
   ASSERT_EQ(run.metrics.size(), 2u) << "null metric should be dropped";
   EXPECT_EQ(run.metrics[0].first, "plain_ms");
   EXPECT_EQ(run.metrics[1].first, "quote\"backslash\\name");
+  // The machine stamp: this host's core count and a CPU model string.
+  EXPECT_EQ(run.nproc,
+            static_cast<std::int64_t>(std::thread::hardware_concurrency()));
+  EXPECT_FALSE(run.cpu_model.empty());
+}
+
+TEST(BenchJsonParse, ReadsMachineStampAndLoadsUnstampedV2) {
+  const pg::BenchRun v3 = pg::parse_bench_json(
+      R"({"bench":"scale","schema_version":3,)"
+      R"("machine":{"nproc":4,"cpu_model":"Xeon \"E5\""},"metrics":{}})");
+  EXPECT_EQ(v3.nproc, 4);
+  EXPECT_EQ(v3.cpu_model, "Xeon \"E5\"");
+  const pg::BenchRun v2 = pg::parse_bench_json(
+      R"({"bench":"scale","schema_version":2,"metrics":{"a_ms":1}})");
+  EXPECT_EQ(v2.nproc, 0);
+  EXPECT_TRUE(v2.cpu_model.empty());
+  ASSERT_EQ(v2.metrics.size(), 1u);
 }
 
 TEST(Json, ParsesEscapesArraysAndNumbers) {
@@ -384,6 +403,73 @@ TEST(PerfGuard, RunsAreQueryableWithPlainSql) {
   ASSERT_TRUE(rs.next());
   EXPECT_EQ(rs.get_string(1), "workload");
   EXPECT_EQ(rs.get_int(2), 2);
+}
+
+TEST(PerfGuard, MachineStampsAreReportedAndNeverChangeTheVerdict) {
+  auto stamped = [](std::int64_t nproc, std::string cpu, double ops) {
+    pg::BenchRun run = make_run("workload", {{"mix_t8_ops_per_s", ops}});
+    run.schema_version = 3;
+    run.nproc = nproc;
+    run.cpu_model = std::move(cpu);
+    return run;
+  };
+  {
+    pg::PerfDb db;  // same machine: stamps printed, nothing flagged
+    db.record_run(stamped(4, "Xeon", 1000.0), "baseline");
+    db.record_run(stamped(4, "Xeon", 990.0), "current");
+    const pg::Report report = db.compare(25.0, kGates);
+    EXPECT_TRUE(report.ok());
+    ASSERT_EQ(report.machines.size(), 1u);
+    EXPECT_EQ(report.machines[0].baseline, "4 x Xeon");
+    EXPECT_FALSE(report.machines[0].differ);
+    const std::string table = pg::format_report(report);
+    EXPECT_NE(table.find("machine workload: baseline 4 x Xeon, current 4 x Xeon"),
+              std::string::npos);
+    EXPECT_EQ(table.find("another machine"), std::string::npos);
+  }
+  {
+    pg::PerfDb db;  // a 1-core baseline against a 4-core run: flagged only
+    db.record_run(stamped(1, "Xeon", 1000.0), "baseline");
+    db.record_run(stamped(4, "Xeon", 990.0), "current");
+    const pg::Report report = db.compare(25.0, kGates);
+    EXPECT_TRUE(report.ok());
+    ASSERT_EQ(report.machines.size(), 1u);
+    EXPECT_TRUE(report.machines[0].differ);
+    EXPECT_NE(pg::format_report(report).find("baseline from another machine"),
+              std::string::npos);
+  }
+  {
+    pg::PerfDb db;  // a v2 baseline is unstamped, not "another machine"
+    db.record_run(make_run("workload", {{"mix_t8_ops_per_s", 1000.0}}),
+                  "baseline");
+    db.record_run(stamped(4, "Xeon", 500.0), "current");
+    const pg::Report report = db.compare(25.0, kGates);
+    EXPECT_FALSE(report.ok());  // the regression still fails the gate
+    ASSERT_EQ(report.machines.size(), 1u);
+    EXPECT_EQ(report.machines[0].baseline, "unstamped");
+    EXPECT_FALSE(report.machines[0].differ);
+  }
+}
+
+TEST(PerfGuard, HistoryWithoutMachineColumnsGainsThem) {
+  // A file-backed perf history created before machine stamps.
+  util::ScopedTempDir dir;
+  {
+    sqldb::Connection old(dir.path() / "perfdb");
+    old.execute_update(
+        "CREATE TABLE perf_runs (id INTEGER PRIMARY KEY, bench TEXT NOT NULL,"
+        " git_sha TEXT, timestamp TEXT, schema_version INTEGER,"
+        " kind TEXT NOT NULL)");
+  }
+  pg::PerfDb db(dir.path() / "perfdb");
+  pg::BenchRun run = make_run("workload", {{"mix_t8_ops_per_s", 1.0}});
+  run.nproc = 2;
+  run.cpu_model = "EPYC";
+  db.record_run(run, "current");
+  auto rs = db.connection().execute("SELECT nproc, cpu_model FROM perf_runs");
+  ASSERT_TRUE(rs.next());
+  EXPECT_EQ(rs.get_int(1), 2);
+  EXPECT_EQ(rs.get_string(2), "EPYC");
 }
 
 TEST(PerfGuard, EndToEndInjectedRegressionThroughFiles) {
