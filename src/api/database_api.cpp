@@ -156,6 +156,53 @@ void add_interval_row(RowBatcher& rows, std::int64_t event_id,
             Value(p.num_calls), Value(p.num_subrs)});
 }
 
+// Profile points as the queries below select them: the location and
+// (interval) metric, then the data, decoded from the row's columns at
+// (0-based) `at` onward.
+const std::string kIntervalPointColumns =
+    "p.node, p.context, p.thread, p.metric, p.inclusive, p.exclusive,"
+    " p.inclusive_percentage, p.exclusive_percentage, p.inclusive_per_call,"
+    " p.num_calls, p.num_subrs";
+const std::string kIntervalOfTrial =
+    " FROM interval_event e JOIN interval_location_profile p"
+    " ON p.interval_event = e.id WHERE e.trial = ?";
+const std::string kAtomicPointColumns =
+    "p.node, p.context, p.thread, p.sample_count, p.maximum_value,"
+    " p.minimum_value, p.mean_value, p.standard_deviation";
+const std::string kAtomicOfTrial =
+    " FROM atomic_event e JOIN atomic_location_profile p"
+    " ON p.atomic_event = e.id WHERE e.trial = ?";
+
+using Cells = std::span<const Value>;
+
+profile::ThreadId read_thread(Cells row, std::size_t at) {
+  return {static_cast<std::int32_t>(row[at].as_int()),
+          static_cast<std::int32_t>(row[at + 1].as_int()),
+          static_cast<std::int32_t>(row[at + 2].as_int())};
+}
+
+profile::IntervalDataPoint read_interval_point(Cells row, std::size_t at) {
+  profile::IntervalDataPoint p;
+  p.inclusive = row[at].as_real();
+  p.exclusive = row[at + 1].as_real();
+  p.inclusive_pct = row[at + 2].as_real();
+  p.exclusive_pct = row[at + 3].as_real();
+  p.inclusive_per_call = row[at + 4].as_real();
+  p.num_calls = row[at + 5].as_real();
+  p.num_subrs = row[at + 6].as_real();
+  return p;
+}
+
+profile::AtomicDataPoint read_atomic_point(Cells row, std::size_t at) {
+  profile::AtomicDataPoint p;
+  p.sample_count = row[at].as_real();
+  p.maximum = row[at + 1].as_real();
+  p.minimum = row[at + 2].as_real();
+  p.mean = row[at + 3].as_real();
+  p.std_dev = row[at + 4].as_real();
+  return p;
+}
+
 }  // namespace
 
 DatabaseAPI::DatabaseAPI(std::shared_ptr<sqldb::Connection> connection)
@@ -605,15 +652,28 @@ profile::TrialData DatabaseAPI::load_trial(std::int64_t trial_id) {
     atomic_of[event.id] = index;
   }
 
-  for (const auto& row : get_interval_data(trial_id)) {
-    const std::size_t thread = data.intern_thread(row.thread);
-    data.set_interval_data(event_of.at(row.event_id), thread,
-                           metric_of.at(row.metric_id), row.data);
+  // Points decode straight from the result sets: the queries carry event
+  // and metric ids, which map to the dense indexes above, and no per-row
+  // event name.
+  const Params by_trial{Value(trial_id)};
+  auto rs = connection_->execute(
+      "SELECT e.id, " + kIntervalPointColumns + kIntervalOfTrial, by_trial);
+  data.reserve_interval_points(rs.row_count());
+  while (rs.next()) {
+    const Cells row = rs.row();
+    const std::size_t thread = data.intern_thread(read_thread(row, 1));
+    data.set_interval_data(event_of.at(row[0].as_int()), thread,
+                           metric_of.at(row[4].as_int()),
+                           read_interval_point(row, 5));
     ++loaded_rows;
   }
-  for (const auto& row : get_atomic_data(trial_id)) {
-    const std::size_t thread = data.intern_thread(row.thread);
-    data.set_atomic_data(atomic_of.at(row.event_id), thread, row.data);
+  rs = connection_->execute(
+      "SELECT e.id, " + kAtomicPointColumns + kAtomicOfTrial, by_trial);
+  while (rs.next()) {
+    const Cells row = rs.row();
+    const std::size_t thread = data.intern_thread(read_thread(row, 1));
+    data.set_atomic_data(atomic_of.at(row[0].as_int()), thread,
+                         read_atomic_point(row, 4));
     ++loaded_rows;
   }
 
@@ -685,11 +745,7 @@ std::vector<profile::AtomicEvent> DatabaseAPI::get_atomic_events(
 std::vector<IntervalProfileRow> DatabaseAPI::get_interval_data(
     std::int64_t trial_id, const DataFilter& filter) {
   std::string sql =
-      "SELECT e.id, e.name, p.node, p.context, p.thread, p.metric, "
-      " p.inclusive, p.exclusive, p.inclusive_percentage,"
-      " p.exclusive_percentage, p.inclusive_per_call, p.num_calls, p.num_subrs"
-      " FROM interval_event e JOIN interval_location_profile p"
-      " ON p.interval_event = e.id WHERE e.trial = ?";
+      "SELECT e.id, e.name, " + kIntervalPointColumns + kIntervalOfTrial;
   Params params;
   params.push_back(Value(trial_id));
   auto add = [&](const char* clause, Value v) {
@@ -712,17 +768,9 @@ std::vector<IntervalProfileRow> DatabaseAPI::get_interval_data(
     IntervalProfileRow row;
     row.event_id = rs.get_int(1);
     row.event_name = rs.get_string(2);
-    row.thread.node = static_cast<std::int32_t>(rs.get_int(3));
-    row.thread.context = static_cast<std::int32_t>(rs.get_int(4));
-    row.thread.thread = static_cast<std::int32_t>(rs.get_int(5));
+    row.thread = read_thread(rs.row(), 2);
     row.metric_id = rs.get_int(6);
-    row.data.inclusive = rs.get_double(7);
-    row.data.exclusive = rs.get_double(8);
-    row.data.inclusive_pct = rs.get_double(9);
-    row.data.exclusive_pct = rs.get_double(10);
-    row.data.inclusive_per_call = rs.get_double(11);
-    row.data.num_calls = rs.get_double(12);
-    row.data.num_subrs = rs.get_double(13);
+    row.data = read_interval_point(rs.row(), 6);
     out.push_back(std::move(row));
   }
   return out;
@@ -731,10 +779,7 @@ std::vector<IntervalProfileRow> DatabaseAPI::get_interval_data(
 std::vector<AtomicProfileRow> DatabaseAPI::get_atomic_data(
     std::int64_t trial_id, const DataFilter& filter) {
   std::string sql =
-      "SELECT e.id, e.name, p.node, p.context, p.thread, p.sample_count,"
-      " p.maximum_value, p.minimum_value, p.mean_value, p.standard_deviation"
-      " FROM atomic_event e JOIN atomic_location_profile p"
-      " ON p.atomic_event = e.id WHERE e.trial = ?";
+      "SELECT e.id, e.name, " + kAtomicPointColumns + kAtomicOfTrial;
   Params params;
   params.push_back(Value(trial_id));
   if (filter.event_id) {
@@ -759,14 +804,8 @@ std::vector<AtomicProfileRow> DatabaseAPI::get_atomic_data(
     AtomicProfileRow row;
     row.event_id = rs.get_int(1);
     row.event_name = rs.get_string(2);
-    row.thread.node = static_cast<std::int32_t>(rs.get_int(3));
-    row.thread.context = static_cast<std::int32_t>(rs.get_int(4));
-    row.thread.thread = static_cast<std::int32_t>(rs.get_int(5));
-    row.data.sample_count = rs.get_double(6);
-    row.data.maximum = rs.get_double(7);
-    row.data.minimum = rs.get_double(8);
-    row.data.mean = rs.get_double(9);
-    row.data.std_dev = rs.get_double(10);
+    row.thread = read_thread(rs.row(), 2);
+    row.data = read_atomic_point(rs.row(), 5);
     out.push_back(std::move(row));
   }
   return out;

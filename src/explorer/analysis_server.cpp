@@ -156,16 +156,6 @@ void AnalysisServer::wait_idle() {
   idle_cv_.wait(lock, [this] { return completed_ == submitted_; });
 }
 
-void AnalysisServer::set_max_pending(std::size_t n) {
-  std::lock_guard lock(state_mutex_);
-  max_pending_ = n;
-}
-
-std::size_t AnalysisServer::max_pending() const {
-  std::lock_guard lock(state_mutex_);
-  return max_pending_;
-}
-
 std::size_t AnalysisServer::submitted_count() const {
   std::lock_guard lock(state_mutex_);
   return submitted_;

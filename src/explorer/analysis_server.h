@@ -78,16 +78,11 @@ class AnalysisServer {
   AnalysisResponse submit(const AnalysisRequest& request);
 
   /// Queue the request on the worker pool. When a pending bound is set
-  /// (set_max_pending / PERFDMF_ANALYSIS_MAX_PENDING) and that many
+  /// (PERFDMF_ANALYSIS_MAX_PENDING, read at construction) and that many
   /// requests are already in flight, throws DbError{kOverloaded}
   /// immediately instead of queueing without bound — clients back off
   /// and retry rather than wedging the pool.
   std::future<AnalysisResponse> submit_async(const AnalysisRequest& request);
-
-  /// Bound on in-flight (submitted, not yet completed) requests;
-  /// 0 = unbounded. Initial value comes from PERFDMF_ANALYSIS_MAX_PENDING.
-  void set_max_pending(std::size_t n);
-  std::size_t max_pending() const;
 
   /// Browse stored results for a trial (the client's result view).
   std::vector<api::DatabaseAPI::AnalysisResult> browse(std::int64_t trial_id);

@@ -30,8 +30,6 @@ class DataSource {
   /// (percentages, per-call) and trial dimensions are computed before
   /// returning. Throws ParseError / IoError on bad input.
   virtual profile::TrialData load() = 0;
-
-  virtual ProfileFormat format() const = 0;
 };
 
 }  // namespace perfdmf::io

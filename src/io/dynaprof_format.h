@@ -29,7 +29,6 @@ class DynaprofDataSource : public DataSource {
   explicit DynaprofDataSource(std::filesystem::path file) : file_(std::move(file)) {}
 
   profile::TrialData load() override;
-  ProfileFormat format() const override { return ProfileFormat::kDynaprof; }
 
   static profile::TrialData parse(const std::string& content);
   /// Merge one report into an existing trial (multi-process runs write

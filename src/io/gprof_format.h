@@ -18,7 +18,6 @@ class GprofDataSource : public DataSource {
   explicit GprofDataSource(std::filesystem::path file) : file_(std::move(file)) {}
 
   profile::TrialData load() override;
-  ProfileFormat format() const override { return ProfileFormat::kGprof; }
 
   /// Parse report text directly (used by tests).
   static profile::TrialData parse(const std::string& content);

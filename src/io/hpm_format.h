@@ -27,7 +27,6 @@ class HpmDataSource : public DataSource {
   explicit HpmDataSource(std::filesystem::path file) : file_(std::move(file)) {}
 
   profile::TrialData load() override;
-  ProfileFormat format() const override { return ProfileFormat::kHpm; }
 
   static profile::TrialData parse(const std::string& content);
   static void parse_into(const std::string& content, profile::TrialData& trial);

@@ -22,7 +22,6 @@ class MpiPDataSource : public DataSource {
   explicit MpiPDataSource(std::filesystem::path file) : file_(std::move(file)) {}
 
   profile::TrialData load() override;
-  ProfileFormat format() const override { return ProfileFormat::kMpiP; }
 
   static profile::TrialData parse(const std::string& content);
 

@@ -28,7 +28,6 @@ class PsrunDataSource : public DataSource {
   explicit PsrunDataSource(std::filesystem::path file) : file_(std::move(file)) {}
 
   profile::TrialData load() override;
-  ProfileFormat format() const override { return ProfileFormat::kPsrun; }
 
   static profile::TrialData parse(const std::string& content);
   static void parse_into(const std::string& content, profile::TrialData& trial);

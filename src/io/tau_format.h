@@ -31,7 +31,6 @@ class TauDataSource : public DataSource {
   explicit TauDataSource(std::filesystem::path directory, ScanFilter filter = {});
 
   profile::TrialData load() override;
-  ProfileFormat format() const override { return ProfileFormat::kTau; }
 
   /// Parse one profile.N.C.T file's content into `trial` for `thread`.
   /// Exposed for tests and for tools that stream single files.

@@ -41,7 +41,6 @@ class XmlDataSource : public DataSource {
   explicit XmlDataSource(std::filesystem::path file) : file_(std::move(file)) {}
 
   profile::TrialData load() override;
-  ProfileFormat format() const override { return ProfileFormat::kPerfDmfXml; }
 
  private:
   std::filesystem::path file_;

@@ -110,6 +110,11 @@ std::optional<std::size_t> TrialData::find_thread(const ThreadId& id) const {
   return it->second;
 }
 
+void TrialData::reserve_interval_points(std::size_t n) {
+  interval_points_.reserve(interval_points_.size() + n);
+  interval_lookup_.reserve(interval_points_.size() + n);
+}
+
 void TrialData::set_interval_data(std::size_t event_index, std::size_t thread_index,
                                   std::size_t metric_index,
                                   const IntervalDataPoint& point) {
@@ -118,12 +123,12 @@ void TrialData::set_interval_data(std::size_t event_index, std::size_t thread_in
     throw InvalidArgument("interval data index out of range");
   }
   const std::uint64_t key = pack(event_index, thread_index, metric_index);
-  auto it = interval_lookup_.find(key);
-  if (it != interval_lookup_.end()) {
+  const auto [it, added] =
+      interval_lookup_.try_emplace(key, interval_points_.size());
+  if (!added) {
     interval_points_[it->second].point = point;
     return;
   }
-  interval_lookup_.emplace(key, interval_points_.size());
   interval_points_.push_back({key, point});
 }
 

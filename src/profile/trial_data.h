@@ -53,6 +53,9 @@ class TrialData {
   void set_interval_data(std::size_t event_index, std::size_t thread_index,
                          std::size_t metric_index, const IntervalDataPoint& point);
 
+  /// Make room for `n` more points (a load that knows its row count).
+  void reserve_interval_points(std::size_t n);
+
   const IntervalDataPoint* interval_data(std::size_t event_index,
                                          std::size_t thread_index,
                                          std::size_t metric_index) const;

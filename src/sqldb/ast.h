@@ -45,8 +45,10 @@ struct Expr {
   bool distinct = false;            // COUNT(DISTINCT x)
   std::vector<std::unique_ptr<Expr>> children;
 
-  // Resolved by the executor before evaluation: index into the working
-  // row for kColumnRef. SIZE_MAX means unresolved.
+  // Resolved by bind_expr before evaluation (kColumnRef): the source row
+  // of the working row, and the column's index in it. SIZE_MAX means
+  // unresolved.
+  std::size_t resolved_source = 0;
   std::size_t resolved_index = static_cast<std::size_t>(-1);
 };
 

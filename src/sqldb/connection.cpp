@@ -15,11 +15,11 @@ namespace {
 
 /// DML results are a one-cell affected-row count; unwrap it.
 std::size_t update_count(const ResultSetData& result) {
-  if (result.rows.size() == 1 && result.rows[0].size() == 1 &&
-      result.rows[0][0].type() == ValueType::kInt) {
-    return static_cast<std::size_t>(result.rows[0][0].as_int());
+  if (result.row_count() == 1 && result.width() == 1 &&
+      result.cells[0].type() == ValueType::kInt) {
+    return static_cast<std::size_t>(result.cells[0].as_int());
   }
-  return result.rows.size();
+  return result.row_count();
 }
 
 /// Non-negative integer from the environment; unset/invalid/negative -> 0.
@@ -57,31 +57,31 @@ struct PlanCacheMetrics {
 ResultSet::ResultSet(ResultSetData data) : data_(std::move(data)) {}
 
 bool ResultSet::next() {
-  if (cursor_ + 1 >= static_cast<std::ptrdiff_t>(data_.rows.size())) {
-    cursor_ = static_cast<std::ptrdiff_t>(data_.rows.size());
+  if (cursor_ + 1 >= static_cast<std::ptrdiff_t>(data_.row_count())) {
+    cursor_ = static_cast<std::ptrdiff_t>(data_.row_count());
     return false;
   }
   ++cursor_;
   return true;
 }
 
-const Row& ResultSet::current() const {
-  if (cursor_ < 0 || cursor_ >= static_cast<std::ptrdiff_t>(data_.rows.size())) {
+std::span<const Value> ResultSet::row() const {
+  if (cursor_ < 0 || cursor_ >= static_cast<std::ptrdiff_t>(data_.row_count())) {
     throw DbError("ResultSet cursor is not on a row (call next())");
   }
-  return data_.rows[static_cast<std::size_t>(cursor_)];
+  return data_.row(static_cast<std::size_t>(cursor_));
 }
 
-Value ResultSet::get(std::size_t index) const {
-  const Row& row = current();
-  if (index < 1 || index > row.size()) {
+const Value& ResultSet::get(std::size_t index) const {
+  const std::span<const Value> values = row();
+  if (index < 1 || index > values.size()) {
     throw DbError("ResultSet column index " + std::to_string(index) +
-                  " out of range 1.." + std::to_string(row.size()));
+                  " out of range 1.." + std::to_string(values.size()));
   }
-  return row[index - 1];
+  return values[index - 1];
 }
 
-Value ResultSet::get(const std::string& column_name) const {
+const Value& ResultSet::get(const std::string& column_name) const {
   for (std::size_t i = 0; i < data_.column_names.size(); ++i) {
     if (util::iequals(data_.column_names[i], column_name)) return get(i + 1);
   }
@@ -89,12 +89,12 @@ Value ResultSet::get(const std::string& column_name) const {
 }
 
 std::string ResultSet::get_string(std::size_t index) const {
-  Value v = get(index);
+  const Value& v = get(index);
   return v.is_null() ? std::string() : v.to_string();
 }
 
 std::string ResultSet::get_string(const std::string& name) const {
-  Value v = get(name);
+  const Value& v = get(name);
   return v.is_null() ? std::string() : v.to_string();
 }
 
@@ -143,10 +143,6 @@ void PreparedStatement::set_string(std::size_t index, std::string value) {
   set_value(index, Value(std::move(value)));
 }
 void PreparedStatement::set_null(std::size_t index) { set_value(index, Value()); }
-
-void PreparedStatement::clear_parameters() {
-  params_.assign(params_.size(), Value());
-}
 
 ResultSet PreparedStatement::execute_query() {
   debug_claim_thread();
@@ -353,8 +349,8 @@ ResultSetData Connection::run_cached(std::string_view sql, const Params& params)
   if (is_explain) {
     // EXPLAIN reports the cache outcome for its own SQL text: the first
     // run misses, a repeat hits, and DDL in between invalidates.
-    result.rows.push_back(
-        {Value(std::string("plan-cache: ") + (hit ? "hit" : "miss"))});
+    result.cells.emplace_back(std::string("plan-cache: ") +
+                              (hit ? "hit" : "miss"));
   }
   return result;
 }
@@ -490,6 +486,10 @@ void Connection::commit() {
     database_->commit();  // reports "COMMIT without BEGIN"
     return;
   }
+  // Recorded as the COMMIT statement it is, so Database::commit defers the
+  // WAL sync and the wait below joins group commit after the writer mutex
+  // is released, with its time in this statement's fsync phase.
+  StatementRecord record = open_record("COMMIT");
   try {
     database_->commit();
   } catch (...) {
@@ -499,6 +499,7 @@ void Connection::commit() {
   }
   database_->release_txn_admission();
   locks.release_transaction();
+  database_->await_durability(record);
 }
 
 void Connection::rollback() {

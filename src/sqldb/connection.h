@@ -22,6 +22,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -41,13 +42,18 @@ class ResultSet {
   explicit ResultSet(ResultSetData data);
 
   bool next();
-  std::size_t row_count() const { return data_.rows.size(); }
+  std::size_t row_count() const { return data_.row_count(); }
   std::size_t column_count() const { return data_.column_names.size(); }
   const std::vector<std::string>& column_names() const { return data_.column_names; }
 
-  /// 1-based positional access (JDBC convention).
-  Value get(std::size_t index) const;
-  Value get(const std::string& column_name) const;
+  /// The current row's values (0-based), valid for the ResultSet's
+  /// lifetime.
+  std::span<const Value> row() const;
+
+  /// 1-based positional access (JDBC convention). The reference stays
+  /// valid for the ResultSet's lifetime.
+  const Value& get(std::size_t index) const;
+  const Value& get(const std::string& column_name) const;
 
   std::int64_t get_int(std::size_t index) const { return get(index).as_int(); }
   double get_double(std::size_t index) const { return get(index).as_real(); }
@@ -60,8 +66,6 @@ class ResultSet {
   bool is_null(const std::string& name) const { return get(name).is_null(); }
 
  private:
-  const Row& current() const;
-
   ResultSetData data_;
   std::ptrdiff_t cursor_ = -1;
 };
@@ -88,7 +92,6 @@ class PreparedStatement {
   void set_string(std::size_t index, std::string value);
   void set_null(std::size_t index);
   void set_value(std::size_t index, Value value);
-  void clear_parameters();
 
   ResultSet execute_query();
   /// Returns the affected-row count.

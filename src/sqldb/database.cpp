@@ -30,7 +30,7 @@ constexpr const char* kWalFile = "wal.log";
 ResultSetData count_result(std::size_t n) {
   ResultSetData out;
   out.column_names = {"rows_affected"};
-  out.rows.push_back({Value(static_cast<std::int64_t>(n))});
+  out.cells.emplace_back(static_cast<std::int64_t>(n));
   return out;
 }
 
@@ -537,7 +537,7 @@ std::size_t Database::run_insert(InsertStatement& stmt, const Params& params,
 
   std::size_t inserted = 0;
   StatementRecord* record = StatementRecord::current();
-  auto insert_values = [&](const Row& values) {
+  auto insert_values = [&](std::span<const Value> values) {
     if (record != nullptr) record->poll();
     if (values.size() != positions.size()) {
       throw DbError("INSERT value count mismatch for table " + stmt.table);
@@ -560,7 +560,9 @@ std::size_t Database::run_insert(InsertStatement& stmt, const Params& params,
     // (Materializing first also makes self-referential inserts — reading
     // from the target table — well defined.)
     ResultSetData result = execute_select(*this, *stmt.select, params);
-    for (auto& row : result.rows) insert_values(row);
+    for (std::size_t i = 0; i < result.row_count(); ++i) {
+      insert_values(result.row(i));
+    }
     return inserted;
   }
 

@@ -67,19 +67,19 @@ Value const_value(const Expr& e, const Params& params) {
 }
 
 /// Walk the AND-conjunction tree of a bound WHERE clause collecting
-/// predicates an index can serve. `max_column` restricts to base-table
-/// columns (resolved indexes below it).
+/// predicates an index can serve: those over the base table (source 0).
 void collect_index_predicates(const Expr& e, const Params& params,
-                              std::size_t max_column,
                               std::vector<IndexPredicate>& out) {
+  auto is_base_column = [](const Expr& c) {
+    return c.kind == ExprKind::kColumnRef && c.resolved_source == 0;
+  };
   if (e.kind == ExprKind::kBinary && e.op == "AND") {
-    collect_index_predicates(*e.children[0], params, max_column, out);
-    collect_index_predicates(*e.children[1], params, max_column, out);
+    collect_index_predicates(*e.children[0], params, out);
+    collect_index_predicates(*e.children[1], params, out);
     return;
   }
   if (e.kind == ExprKind::kBetween && !e.negated &&
-      e.children[0]->kind == ExprKind::kColumnRef &&
-      e.children[0]->resolved_index < max_column &&
+      is_base_column(*e.children[0]) &&
       is_constant_expr(*e.children[1]) && is_constant_expr(*e.children[2])) {
     out.push_back({e.children[0]->resolved_index, ">=",
                    const_value(*e.children[1], params)});
@@ -104,8 +104,7 @@ void collect_index_predicates(const Expr& e, const Params& params,
     else if (op == ">") op = "<";
     else if (op == ">=") op = "<=";
   }
-  if (lhs->kind == ExprKind::kColumnRef && lhs->resolved_index < max_column &&
-      is_constant_expr(*rhs)) {
+  if (is_base_column(*lhs) && is_constant_expr(*rhs)) {
     out.push_back({lhs->resolved_index, op, const_value(*rhs, params)});
   }
 }
@@ -238,8 +237,7 @@ std::vector<RowId> collect_candidates(const Table& table, const Expr* bound_wher
                                       const Params& params, const ReadView& view) {
   std::vector<IndexPredicate> predicates;
   if (bound_where != nullptr) {
-    collect_index_predicates(*bound_where, params, table.schema().columns().size(),
-                             predicates);
+    collect_index_predicates(*bound_where, params, predicates);
   }
   return fetch_access_path(table, choose_access_path(table, predicates), view);
 }
@@ -319,27 +317,37 @@ class AggregateRewrite {
   std::vector<Expr*> nodes_;
 };
 
-std::size_t row_hash(const Row& row) {
+constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
+
+/// Hash of `n` values, element i read as get(i); consistent with
+/// Value::compare equality element-wise.
+template <typename Get>
+std::size_t hash_values(std::size_t n, Get&& get) {
   std::size_t h = 1469598103934665603ULL;  // FNV offset basis
-  for (const Value& v : row) {
-    h ^= v.hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= get(i).hash() + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
   }
   return h;
 }
 
-bool rows_equal(const Row& a, const Row& b) {
-  if (a.size() != b.size()) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].compare(b[i]) != 0) return false;
-  }
-  return true;
+/// A group key borrowed from a working row: one pointer per value.
+using BorrowedKey = std::vector<const Value*>;
+
+Row own_key(const BorrowedKey& key) {
+  Row owned;
+  owned.reserve(key.size());
+  for (const Value* v : key) owned.push_back(*v);
+  return owned;
 }
 
-struct RowHasher {
-  std::size_t operator()(const Row& r) const { return row_hash(r); }
+/// Hash-join keys are borrowed from the rows they come from.
+struct ValueRefHash {
+  std::size_t operator()(const Value* v) const { return v->hash(); }
 };
-struct RowEqual {
-  bool operator()(const Row& a, const Row& b) const { return rows_equal(a, b); }
+struct ValueRefEqual {
+  bool operator()(const Value* a, const Value* b) const {
+    return a->compare(*b) == 0;
+  }
 };
 
 /// Open-addressing hash of group keys. Entries (key + representative row
@@ -349,7 +357,7 @@ struct RowEqual {
 struct GroupEntry {
   Row key;
   std::size_t hash = 0;
-  const Row* rep = nullptr;  // first member (bare column refs, HAVING)
+  std::size_t rep = kNoRow;  // first member's working row (bare refs, HAVING)
   std::vector<Accumulator> accumulators;
 };
 
@@ -357,22 +365,26 @@ class GroupHashTable {
  public:
   GroupHashTable() : slots_(64, 0), mask_(63) {}
 
-  /// Find the entry for `key`, inserting a new one (with accumulators
-  /// from `make_entry`) when absent.
+  /// Find the entry for the borrowed `key`, inserting the entry that
+  /// `make_entry(hash)` builds (owning a copy of the key) when absent.
   template <typename MakeEntry>
-  GroupEntry& find_or_insert(Row&& key, MakeEntry&& make_entry) {
+  GroupEntry& find_or_insert(const BorrowedKey& key, MakeEntry&& make_entry) {
     if ((entries_.size() + 1) * 4 >= slots_.size() * 3) grow();  // ~0.75 load
-    const std::size_t h = row_hash(key);
+    const std::size_t h = hash_values(
+        key.size(), [&](std::size_t i) -> const Value& { return *key[i]; });
     std::size_t i = h & mask_;
     for (;;) {
       const std::uint32_t s = slots_[i];
       if (s == 0) {
-        entries_.push_back(make_entry(std::move(key), h));
+        entries_.push_back(make_entry(h));
         slots_[i] = static_cast<std::uint32_t>(entries_.size());
         return entries_.back();
       }
       GroupEntry& e = entries_[s - 1];
-      if (e.hash == h && rows_equal(e.key, key)) return e;
+      auto same = [](const Value& a, const Value* b) { return a.compare(*b) == 0; };
+      if (e.hash == h && std::equal(e.key.begin(), e.key.end(), key.begin(), same)) {
+        return e;
+      }
       i = (i + 1) & mask_;
     }
   }
@@ -395,11 +407,23 @@ class GroupHashTable {
   std::vector<GroupEntry> entries_;   // insertion (= output) order
 };
 
+/// The FROM/JOIN/WHERE output, late-materialized: a working row is one
+/// `const Row*` per source (nullptr for LEFT OUTER padding), and no value
+/// is copied until the projection writes it out. The pointers are table
+/// row versions, which stay put for the whole statement (table.h: only
+/// vacuum() frees versions, under full exclusion), or rows of the views
+/// and system tables this statement materialized, which it owns here.
 struct WorkingSet {
   std::vector<BoundColumn> layout;
-  std::vector<Row> rows;
+  std::size_t width = 0;         // sources per working row
+  std::size_t count = 0;         // working rows
+  std::vector<const Row*> refs;  // count x width, row-major
   /// Tables materialized from views for the duration of this query.
   std::vector<std::unique_ptr<Table>> owned_tables;
+
+  SourceRows row(std::size_t i) const {
+    return SourceRows(refs.data() + i * width, width);
+  }
 };
 
 /// Resolve a FROM/JOIN name: a system table snapshotted from the telemetry
@@ -436,7 +460,12 @@ Table& resolve_table(Database& db, const std::string& name, WorkingSet& ws) {
     schema.add_column(std::move(def));
   }
   auto materialized = std::make_unique<Table>(std::move(schema));
-  for (auto& row : data.rows) materialized->insert(std::move(row));
+  const auto width = static_cast<std::ptrdiff_t>(data.width());
+  for (std::size_t i = 0; i < data.row_count(); ++i) {
+    const auto first = data.cells.begin() + static_cast<std::ptrdiff_t>(i) * width;
+    materialized->insert(Row(std::make_move_iterator(first),
+                             std::make_move_iterator(first + width)));
+  }
   ws.owned_tables.push_back(std::move(materialized));
   return *ws.owned_tables.back();
 }
@@ -454,14 +483,10 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   WorkingSet ws;
   if (!stmt.from) {
     if (explain) explain->add("from: none");
-    ws.rows.emplace_back();  // one empty row: SELECT 1+1
+    ws.count = 1;  // one empty row: SELECT 1+1
     if (stmt.where) {
       bind_expr(*stmt.where, ws.layout);
-      std::vector<Row> kept;
-      for (auto& row : ws.rows) {
-        if (is_truthy(eval_expr(*stmt.where, row, params))) kept.push_back(row);
-      }
-      ws.rows = std::move(kept);
+      if (!is_truthy(eval_expr(*stmt.where, ws.row(0), params))) ws.count = 0;
     }
     return ws;
   }
@@ -469,8 +494,9 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   Table& base = resolve_table(db, stmt.from->table, ws);
   const std::string base_alias = util::to_lower(stmt.from->alias);
   for (const auto& column : base.schema().columns()) {
-    ws.layout.push_back({base_alias, column.name});
+    ws.layout.push_back({base_alias, column.name, 0});
   }
+  ws.width = 1;
   // Predicate push-down. Without joins the whole WHERE binds against the
   // base layout and drives index selection. With joins, each AND-conjunct
   // that references only base columns is bound, used for index selection,
@@ -503,12 +529,10 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     // WHERE, or the pushed conjuncts — all of them are ANDed).
     std::vector<IndexPredicate> predicates;
     if (base_where != nullptr) {
-      collect_index_predicates(*base_where, params,
-                               base.schema().columns().size(), predicates);
+      collect_index_predicates(*base_where, params, predicates);
     } else {
       for (const Expr* conjunct : pushed) {
-        collect_index_predicates(*conjunct, params,
-                                 base.schema().columns().size(), predicates);
+        collect_index_predicates(*conjunct, params, predicates);
       }
     }
     path = choose_access_path(base, predicates);
@@ -520,15 +544,16 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   std::uint64_t from_rows_in = 0;
   auto consider = [&](const Row& row) {
     record.poll();
+    const Row* one = &row;
     for (const Expr* conjunct : pushed) {
-      if (!is_truthy(eval_expr(*conjunct, row, params))) return;
+      if (!is_truthy(eval_expr(*conjunct, SourceRows(&one, 1), params))) return;
     }
-    ws.rows.push_back(row);
+    ws.refs.push_back(&row);
   };
   if (path.kind == AccessPath::Kind::kScan) {
     // The scan already resolves each slot's visible version: build the
     // working set in that one walk.
-    ws.rows.reserve(base.live_row_count());
+    ws.refs.reserve(base.live_row_count());
     base.scan(view, [&](RowId, const Row& row) {
       ++from_rows_in;
       consider(row);
@@ -536,13 +561,13 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   } else {
     const std::vector<RowId> candidates = fetch_access_path(base, path, view);
     from_rows_in = candidates.size();
-    ws.rows.reserve(candidates.size());
+    ws.refs.reserve(candidates.size());
     for (const Row* row : base.fetch_many(candidates, view)) {
       if (row != nullptr) consider(*row);
     }
   }
-  record.op_end(own, "from " + base_alias, from_start, from_rows_in,
-                ws.rows.size());
+  ws.count = ws.refs.size();
+  record.op_end(own, "from " + base_alias, from_start, from_rows_in, ws.count);
 
   // Joins. An equi-join conjunct (existing_col = right_col) in the ON
   // clause selects an index-nested-loop when the right side has an index
@@ -551,18 +576,20 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
   // equi conjunct, or with hash joins disabled, the join falls back to the
   // index-nested-loop when the right key is indexed and a plain nested
   // loop otherwise. NULL keys never match (SQL '='), and the non-equi
-  // remainder of the ON clause is evaluated per pair.
+  // remainder of the ON clause is evaluated per pair. Every strategy
+  // appends the right row's pointer to the left row's pointers.
   for (auto& join : stmt.joins) {
     const auto join_start = record.op_start(own);
-    const std::uint64_t join_rows_in = ws.rows.size();
+    const std::uint64_t join_rows_in = ws.count;
     std::uint64_t join_entries = 0;   // hash-build entries (0 on fallback)
     std::uint64_t join_mem = 0;       // peak bytes charged by the build
     bool join_degraded = false;       // hash build abandoned under pressure
     Table& right = resolve_table(db, join.table.table, ws);
     const std::string right_alias = util::to_lower(join.table.alias);
+    const std::size_t r = ws.width;  // the right side's source
     std::vector<BoundColumn> new_layout = ws.layout;
     for (const auto& column : right.schema().columns()) {
-      new_layout.push_back({right_alias, column.name});
+      new_layout.push_back({right_alias, column.name, r});
     }
     bind_expr(*join.on, new_layout);
 
@@ -570,7 +597,8 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     // conjunction becomes a residual filter.
     std::vector<Expr*> on_conjuncts;
     split_conjuncts(*join.on, on_conjuncts);
-    std::size_t left_key = static_cast<std::size_t>(-1);
+    std::size_t left_source = 0;
+    std::size_t left_column = 0;
     std::size_t right_key = static_cast<std::size_t>(-1);
     const Expr* equi = nullptr;
     for (const Expr* c : on_conjuncts) {
@@ -579,17 +607,13 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
           c->children[1]->kind != ExprKind::kColumnRef) {
         continue;
       }
-      const std::size_t a = c->children[0]->resolved_index;
-      const std::size_t b = c->children[1]->resolved_index;
-      if (a < ws.layout.size() && b >= ws.layout.size()) {
-        left_key = a;
-        right_key = b - ws.layout.size();
-        equi = c;
-        break;
-      }
-      if (b < ws.layout.size() && a >= ws.layout.size()) {
-        left_key = b;
-        right_key = a - ws.layout.size();
+      const Expr* left_ref = c->children[0].get();
+      const Expr* right_ref = c->children[1].get();
+      if (left_ref->resolved_source == r) std::swap(left_ref, right_ref);
+      if (left_ref->resolved_source < r && right_ref->resolved_source == r) {
+        left_source = left_ref->resolved_source;
+        left_column = left_ref->resolved_index;
+        right_key = right_ref->resolved_index;
         equi = c;
         break;
       }
@@ -598,21 +622,34 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
     for (const Expr* c : on_conjuncts) {
       if (c != equi) residual.push_back(c);
     }
-    auto passes_residual = [&](const Row& combined) {
-      for (const Expr* c : residual) {
-        if (!is_truthy(eval_expr(*c, combined, params))) return false;
+    // Left row i's join key, or nullptr when its source is NULL padding.
+    auto left_key = [&](std::size_t i) -> const Value* {
+      const Row* row = ws.refs[i * r + left_source];
+      return row != nullptr ? &(*row)[left_column] : nullptr;
+    };
+    // Whether every conjunct holds on left row i joined to `right_row`.
+    std::vector<const Row*> pair(r + 1);
+    auto passes = [&](const std::vector<const Expr*>& conjuncts, std::size_t i,
+                      const Row* right_row) {
+      if (conjuncts.empty()) return true;
+      std::copy_n(ws.refs.begin() + i * r, r, pair.begin());
+      pair[r] = right_row;
+      for (const Expr* c : conjuncts) {
+        if (!is_truthy(eval_expr(*c, SourceRows(pair), params))) return false;
       }
       return true;
     };
-
-    const std::size_t right_width = right.schema().columns().size();
-    std::vector<Row> joined;
+    std::vector<const Row*> joined;
+    auto emit = [&](std::size_t i, const Row* right_row) {
+      joined.insert(joined.end(), ws.refs.begin() + i * r,
+                    ws.refs.begin() + (i + 1) * r);
+      joined.push_back(right_row);  // nullptr: LEFT OUTER padding
+    };
 
     const bool right_indexed = equi != nullptr && right.has_index(right_key);
-    bool hash_join =
-        equi != nullptr && tuning.hash_join &&
-        !(right_indexed &&
-          index_probe_is_cheaper(ws.rows.size(), right.live_row_count()));
+    bool hash_join = equi != nullptr && tuning.hash_join &&
+                     !(right_indexed && index_probe_is_cheaper(
+                                            ws.count, right.live_row_count()));
     if (hash_join) {
       // The build table charges the statement's memory budget as it
       // grows; a soft breach abandons the hash strategy (the partially
@@ -620,7 +657,7 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
       // through to the nested-loop path below.
       ScopedMemCharge mem(record);
       bool degraded = false;
-      const bool build_left = ws.rows.size() < right.live_row_count();
+      const bool build_left = ws.count < right.live_row_count();
       if (explain) {
         explain->add("join " + right_alias + ": hash build=" +
                      (build_left ? std::string("left") : std::string("right")));
@@ -630,12 +667,14 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         // it once. Matches are buffered per left row so the output keeps
         // the nested-loop's left-major order (and LEFT OUTER padding
         // still sees per-left-row match state).
-        std::unordered_map<Value, std::vector<std::size_t>, ValueHash> table;
-        table.reserve(ws.rows.size());
-        for (std::size_t i = 0; i < ws.rows.size(); ++i) {
+        std::unordered_map<const Value*, std::vector<std::size_t>, ValueRefHash,
+                           ValueRefEqual>
+            table;
+        table.reserve(ws.count);
+        for (std::size_t i = 0; i < ws.count; ++i) {
           record.poll();
-          const Value& key = ws.rows[i][left_key];
-          if (key.is_null()) continue;
+          const Value* key = left_key(i);
+          if (key == nullptr || key->is_null()) continue;
           if (!mem.charge(kHashEntryBytes)) {
             degraded = true;
             break;
@@ -644,35 +683,30 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         }
         join_entries = table.size();
         if (!degraded) {
-          std::vector<std::vector<Row>> matches(ws.rows.size());
+          std::vector<std::vector<const Row*>> matches(ws.count);
           right.scan(view, [&](RowId, const Row& right_row) {
             record.poll();
             const Value& key = right_row[right_key];
             if (key.is_null()) return;
-            auto it = table.find(key);
+            auto it = table.find(&key);
             if (it == table.end()) return;
             for (std::size_t i : it->second) {
-              Row combined = ws.rows[i];
-              combined.insert(combined.end(), right_row.begin(), right_row.end());
-              if (passes_residual(combined)) matches[i].push_back(std::move(combined));
+              if (passes(residual, i, &right_row)) {
+                matches[i].push_back(&right_row);
+              }
             }
           });
-          for (std::size_t i = 0; i < ws.rows.size(); ++i) {
+          for (std::size_t i = 0; i < ws.count; ++i) {
             record.poll();
-            if (matches[i].empty()) {
-              if (join.left_outer) {
-                Row combined = ws.rows[i];
-                combined.resize(combined.size() + right_width);  // NULL padding
-                joined.push_back(std::move(combined));
-              }
-              continue;
-            }
-            for (auto& row : matches[i]) joined.push_back(std::move(row));
+            if (matches[i].empty() && join.left_outer) emit(i, nullptr);
+            for (const Row* right_row : matches[i]) emit(i, right_row);
           }
         }
       } else {
         // Build on the right side, probe with each left row in order.
-        std::unordered_map<Value, std::vector<const Row*>, ValueHash> table;
+        std::unordered_map<const Value*, std::vector<const Row*>, ValueRefHash,
+                           ValueRefEqual>
+            table;
         table.reserve(right.live_row_count());
         right.scan(view, [&](RowId, const Row& right_row) {
           if (degraded) return;
@@ -683,33 +717,27 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
             degraded = true;
             return;
           }
-          table[key].push_back(&right_row);
+          table[&key].push_back(&right_row);
         });
         join_entries = table.size();
         if (!degraded) {
-          for (const auto& left_row : ws.rows) {
+          joined.reserve(ws.count * (r + 1));
+          for (std::size_t i = 0; i < ws.count; ++i) {
             record.poll();
             bool matched = false;
-            const Value& key = left_row[left_key];
-            if (!key.is_null()) {
+            const Value* key = left_key(i);
+            if (key != nullptr && !key->is_null()) {
               auto it = table.find(key);
               if (it != table.end()) {
                 for (const Row* right_row : it->second) {
-                  Row combined = left_row;
-                  combined.insert(combined.end(), right_row->begin(),
-                                  right_row->end());
-                  if (passes_residual(combined)) {
-                    joined.push_back(std::move(combined));
+                  if (passes(residual, i, right_row)) {
+                    emit(i, right_row);
                     matched = true;
                   }
                 }
               }
             }
-            if (!matched && join.left_outer) {
-              Row combined = left_row;
-              combined.resize(combined.size() + right_width);
-              joined.push_back(std::move(combined));
-            }
+            if (!matched && join.left_outer) emit(i, nullptr);
           }
         }
       }
@@ -727,67 +755,82 @@ WorkingSet build_working_set(Database& db, SelectStatement& stmt,
         explain->add("join " + right_alias + ": " +
                      (right_indexed ? "index-nested-loop" : "nested-loop"));
       }
-      const Expr& on = *join.on;
-      for (const auto& left_row : ws.rows) {
+      const std::vector<const Expr*> whole_on{join.on.get()};
+      for (std::size_t i = 0; i < ws.count; ++i) {
         record.poll();
         bool matched = false;
-        auto try_pair = [&](const Row& right_row, bool key_matched) {
-          Row combined = left_row;
-          combined.insert(combined.end(), right_row.begin(), right_row.end());
-          if (key_matched ? passes_residual(combined)
-                          : is_truthy(eval_expr(on, combined, params))) {
-            joined.push_back(std::move(combined));
-            matched = true;
-          }
-        };
         if (right_indexed) {
-          const Value& key = left_row[left_key];
-          if (!key.is_null()) {
-            auto hits = right.index_equal(right_key, key);
+          const Value* key = left_key(i);
+          if (key != nullptr && !key->is_null()) {
+            auto hits = right.index_equal(right_key, *key);
             for (const Row* right_row : right.fetch_many(*hits, view)) {
               // The index may name a slot whose visible version carries
               // another key; only a row equal on the key is a match.
-              if (right_row != nullptr && (*right_row)[right_key] == key) {
-                try_pair(*right_row, true);
+              if (right_row != nullptr && (*right_row)[right_key] == *key &&
+                  passes(residual, i, right_row)) {
+                emit(i, right_row);
+                matched = true;
               }
             }
           }
         } else {
           right.scan(view, [&](RowId, const Row& right_row) {
             record.poll();
-            try_pair(right_row, false);
+            if (passes(whole_on, i, &right_row)) {
+              emit(i, &right_row);
+              matched = true;
+            }
           });
         }
-        if (!matched && join.left_outer) {
-          Row combined = left_row;
-          combined.resize(combined.size() + right_width);  // NULL padding
-          joined.push_back(std::move(combined));
+        if (!matched && join.left_outer) emit(i, nullptr);
+      }
+    }
+    ws.refs = std::move(joined);
+    ws.width = r + 1;
+    ws.count = ws.refs.size() / ws.width;
+    ws.layout = std::move(new_layout);
+    record.op_end(own, "join " + right_alias, join_start, join_rows_in,
+                  ws.count, join_entries, join_mem, join_degraded);
+  }
+
+  // WHERE over the working rows, for what was not applied below: the full
+  // predicate over the base rows (index candidates are a superset), or,
+  // after joins, the conjuncts that reference joined columns. The whole
+  // WHERE is re-bound against the joined layout first, so a name that
+  // the join made ambiguous is still reported.
+  if (stmt.where) {
+    const auto filter_start = record.op_start(own);
+    const std::uint64_t filter_rows_in = ws.count;
+    std::vector<const Expr*> remaining;
+    if (stmt.joins.empty()) {
+      remaining.push_back(stmt.where.get());
+    } else {
+      bind_expr(*stmt.where, ws.layout);
+      std::vector<Expr*> conjuncts;
+      split_conjuncts(*stmt.where, conjuncts);
+      for (const Expr* c : conjuncts) {
+        if (std::find(pushed.begin(), pushed.end(), c) == pushed.end()) {
+          remaining.push_back(c);
         }
       }
     }
-    ws.rows = std::move(joined);
-    ws.layout = std::move(new_layout);
-    record.op_end(own, "join " + right_alias, join_start, join_rows_in,
-                  ws.rows.size(), join_entries, join_mem, join_degraded);
-  }
-
-  // Full WHERE over the working rows: post-join re-evaluation (pushed
-  // conjuncts were partial), or the full predicate over index candidates
-  // (a superset) in the single-table case.
-  if (stmt.where) {
-    const auto filter_start = record.op_start(own);
-    const std::uint64_t filter_rows_in = ws.rows.size();
-    if (!stmt.joins.empty()) bind_expr(*stmt.where, ws.layout);
-    std::vector<Row> kept;
-    kept.reserve(ws.rows.size());
-    for (auto& row : ws.rows) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < ws.count; ++i) {
       record.poll();
-      if (is_truthy(eval_expr(*stmt.where, row, params))) {
-        kept.push_back(std::move(row));
+      const SourceRows row = ws.row(i);
+      const bool keep = std::all_of(
+          remaining.begin(), remaining.end(), [&](const Expr* c) {
+            return is_truthy(eval_expr(*c, row, params));
+          });
+      if (!keep) continue;
+      if (kept != i) {
+        std::copy(row.begin(), row.end(), ws.refs.begin() + kept * ws.width);
       }
+      ++kept;
     }
-    ws.rows = std::move(kept);
-    record.op_end(own, "filter", filter_start, filter_rows_in, ws.rows.size());
+    ws.count = kept;
+    ws.refs.resize(kept * ws.width);
+    record.op_end(own, "filter", filter_start, filter_rows_in, ws.count);
   }
   return ws;
 }
@@ -799,6 +842,19 @@ std::string default_column_name(const Expr* expr, std::size_t position) {
     return util::to_lower(expr->function_name);
   }
   return "col" + std::to_string(position);
+}
+
+/// Append the value of `expr` over `row` to `out`: copied straight from
+/// the row when it is a column, moved in when it is computed.
+void append_value(std::vector<Value>& out, const Expr& expr, SourceRows row,
+                  const Params& params) {
+  Value scratch;
+  const Value& value = eval_ref(expr, row, params, scratch);
+  if (&value == &scratch) {
+    out.push_back(std::move(scratch));
+  } else {
+    out.push_back(value);
+  }
 }
 
 /// Evaluate a LIMIT/OFFSET operand (integer literal or placeholder).
@@ -838,9 +894,12 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
   for (std::size_t i = 0; i < stmt.items.size(); ++i) {
     SelectItem& item = stmt.items[i];
     if (item.expr == nullptr) {
+      std::size_t column = 0;
       for (std::size_t c = 0; c < ws.layout.size(); ++c) {
+        if (c > 0 && ws.layout[c].source != ws.layout[c - 1].source) column = 0;
         auto ref = make_column(ws.layout[c].qualifier, ws.layout[c].name);
-        ref->resolved_index = c;
+        ref->resolved_source = ws.layout[c].source;
+        ref->resolved_index = column++;
         result.column_names.push_back(ws.layout[c].name);
         output_exprs.push_back(ref.get());
         expanded.push_back(std::move(ref));
@@ -866,20 +925,87 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
   }
   const bool aggregated = !aggregate_nodes.empty() || !stmt.group_by.empty();
 
-  // Pre-compute ORDER BY keys alongside each output row so sorting works
-  // uniformly for plain and aggregated queries. `seq` is the production
-  // order; using it as the final tie-break makes both the full sort and
-  // the Top-K heap reproduce std::stable_sort's ordering.
-  struct OutputRow {
-    Row values;
-    Row sort_keys;
+  // ORDER BY keys: an output column (by position, or by alias), a
+  // working-row column (plain queries) or an expression computed per row.
+  // Only computed keys are stored with an output row; the others are read
+  // in place. Keys resolve when the first row is produced, so a key that
+  // cannot resolve fails only a statement that produces rows.
+  const std::size_t width = output_exprs.size();
+  struct SortKey {
+    enum class Kind { kOutput, kColumn, kComputed };
+    Kind kind = Kind::kComputed;
+    std::size_t source = 0;        // kColumn
+    std::size_t index = 0;         // output column, source column or slot
+    const Expr* expr = nullptr;    // kComputed
+  };
+  std::vector<SortKey> sort_keys;
+  std::size_t computed_keys = 0;
+  auto resolve_sort_key = [&](const OrderItem& item) {
+    const Expr& e = *item.expr;
+    if (e.kind == ExprKind::kLiteral && e.literal.type() == ValueType::kInt) {
+      // 1) positional: ORDER BY 2
+      const std::int64_t pos = e.literal.as_int();
+      if (pos < 1 || pos > static_cast<std::int64_t>(width)) {
+        throw DbError("ORDER BY position out of range");
+      }
+      return SortKey{SortKey::Kind::kOutput, 0, static_cast<std::size_t>(pos - 1)};
+    }
+    if (e.kind == ExprKind::kColumnRef && e.table_qualifier.empty()) {
+      // 2) alias of an output column
+      for (std::size_t c = 0; c < width; ++c) {
+        if (util::iequals(result.column_names[c], e.column_name)) {
+          return SortKey{SortKey::Kind::kOutput, 0, c};
+        }
+      }
+    }
+    // 3) arbitrary expression over the working row (plain queries only)
+    if (aggregated) {
+      throw DbError("ORDER BY over aggregated queries must reference output "
+                    "columns by alias or position");
+    }
+    bind_expr(*item.expr, ws.layout);
+    if (e.kind == ExprKind::kColumnRef) {
+      return SortKey{SortKey::Kind::kColumn, e.resolved_source, e.resolved_index};
+    }
+    return SortKey{SortKey::Kind::kComputed, 0, computed_keys++, &e};
+  };
+
+  // Produced rows live in `cells`, `width` values to a slot, with their
+  // computed sort keys in `computed`: a value is copied once, when it is
+  // projected into its slot, and only moved after that. Without ORDER BY
+  // the slots are the output order. With it, `ordered` holds the kept
+  // rows: all of them for the full sort, or the Top-K heap, whose beaten
+  // rows' slots are reused. `seq` is the production order; using it as
+  // the final tie-break makes both the full sort and the Top-K heap
+  // reproduce std::stable_sort's ordering.
+  std::vector<Value> cells;
+  std::vector<Value> computed;
+  std::size_t slots = 0;
+  std::vector<std::size_t> free_slots;
+  struct Produced {
+    std::size_t slot = 0;
+    std::size_t working = 0;  // the working row (kColumn sort keys)
     std::size_t seq = 0;
   };
-  std::vector<OutputRow> output;
+  std::vector<Produced> ordered;
 
-  auto output_less = [&](const OutputRow& a, const OutputRow& b) {
-    for (std::size_t k = 0; k < stmt.order_by.size(); ++k) {
-      int c = a.sort_keys[k].compare(b.sort_keys[k]);
+  static const Value kNull;
+  auto sort_value = [&](const Produced& row, const SortKey& key) -> const Value& {
+    switch (key.kind) {
+      case SortKey::Kind::kOutput:
+        return cells[row.slot * width + key.index];
+      case SortKey::Kind::kColumn: {
+        const Row* source = ws.refs[row.working * ws.width + key.source];
+        return source != nullptr ? (*source)[key.index] : kNull;
+      }
+      case SortKey::Kind::kComputed:
+        break;
+    }
+    return computed[row.slot * computed_keys + key.index];
+  };
+  auto output_less = [&](const Produced& a, const Produced& b) {
+    for (std::size_t k = 0; k < sort_keys.size(); ++k) {
+      int c = sort_value(a, sort_keys[k]).compare(sort_value(b, sort_keys[k]));
       if (stmt.order_by[k].descending) c = -c;
       if (c != 0) return c < 0;
     }
@@ -911,77 +1037,102 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
     }
   }
 
-  std::unordered_set<Row, RowHasher, RowEqual> distinct_seen;
-  std::size_t next_seq = 0;
-  auto emit = [&](OutputRow&& out) {
-    if (stmt.distinct && !distinct_seen.insert(out.values).second) return;
-    out.seq = next_seq++;
-    if (!use_topk) {
-      output.push_back(std::move(out));
-      return;
-    }
-    if (keep == 0) return;  // LIMIT 0
-    if (output.size() < keep) {
-      output.push_back(std::move(out));
-      std::push_heap(output.begin(), output.end(), output_less);
-      return;
-    }
-    // Heap front is the worst retained row; replace it when beaten.
-    if (output_less(out, output.front())) {
-      std::pop_heap(output.begin(), output.end(), output_less);
-      output.back() = std::move(out);
-      std::push_heap(output.begin(), output.end(), output_less);
-    }
+  // DISTINCT remembers each kept row by its slot. Slots are never reused
+  // under DISTINCT, so every remembered row stays readable.
+  auto slot_hash = [&](std::size_t slot) {
+    return hash_values(width, [&](std::size_t i) -> const Value& {
+      return cells[slot * width + i];
+    });
   };
-
-  auto order_key_for = [&](const Row& working_row, const Row& produced,
-                           const OrderItem& item) -> Value {
-    // 1) positional: ORDER BY 2
-    if (item.expr->kind == ExprKind::kLiteral &&
-        item.expr->literal.type() == ValueType::kInt) {
-      const std::int64_t pos = item.expr->literal.as_int();
-      if (pos < 1 || pos > static_cast<std::int64_t>(produced.size())) {
-        throw DbError("ORDER BY position out of range");
-      }
-      return produced[static_cast<std::size_t>(pos - 1)];
+  auto slot_equal = [&](std::size_t a, std::size_t b) {
+    for (std::size_t i = 0; i < width; ++i) {
+      if (cells[a * width + i].compare(cells[b * width + i]) != 0) return false;
     }
-    // 2) alias of an output column
-    if (item.expr->kind == ExprKind::kColumnRef && item.expr->table_qualifier.empty()) {
-      for (std::size_t c = 0; c < result.column_names.size(); ++c) {
-        if (util::iequals(result.column_names[c], item.expr->column_name)) {
-          return produced[c];
+    return true;
+  };
+  std::unordered_set<std::size_t, decltype(slot_hash), decltype(slot_equal)>
+      distinct_seen(0, slot_hash, slot_equal);
+  auto discard = [&](std::size_t slot) {
+    if (!stmt.distinct) free_slots.push_back(slot);
+  };
+  std::size_t next_seq = 0;
+  // Project one output row from working row `row` (and its sort keys),
+  // then keep it or drop it.
+  auto produce = [&](SourceRows row, std::size_t working) {
+    std::size_t slot = 0;
+    if (free_slots.empty()) {
+      slot = slots++;
+      for (const Expr* e : output_exprs) append_value(cells, *e, row, params);
+      if (sort_keys.size() < stmt.order_by.size()) {  // the first row
+        for (const auto& item : stmt.order_by) {
+          sort_keys.push_back(resolve_sort_key(item));
+        }
+      }
+      for (const SortKey& key : sort_keys) {  // kComputed slots are in order
+        if (key.kind == SortKey::Kind::kComputed) {
+          append_value(computed, *key.expr, row, params);
+        }
+      }
+    } else {
+      slot = free_slots.back();
+      free_slots.pop_back();
+      for (std::size_t c = 0; c < width; ++c) {
+        cells[slot * width + c] = eval_expr(*output_exprs[c], row, params);
+      }
+      for (const SortKey& key : sort_keys) {
+        if (key.kind == SortKey::Kind::kComputed) {
+          computed[slot * computed_keys + key.index] =
+              eval_expr(*key.expr, row, params);
         }
       }
     }
-    // 3) arbitrary expression over the working row (plain queries only)
-    if (aggregated) {
-      throw DbError("ORDER BY over aggregated queries must reference output "
-                    "columns by alias or position");
+    if (stmt.distinct && !distinct_seen.insert(slot).second) {
+      // A duplicate; under DISTINCT the newest slot is always the last.
+      --slots;
+      cells.resize(slots * width);
+      computed.resize(slots * computed_keys);
+      return;
     }
-    bind_expr(*item.expr, ws.layout);
-    return eval_expr(*item.expr, working_row, params);
+    const Produced produced{slot, working, next_seq++};
+    if (stmt.order_by.empty()) return;
+    if (!use_topk) {
+      ordered.push_back(produced);
+      return;
+    }
+    if (keep == 0) {  // LIMIT 0
+      discard(slot);
+      return;
+    }
+    if (ordered.size() < keep) {
+      ordered.push_back(produced);
+      std::push_heap(ordered.begin(), ordered.end(), output_less);
+      return;
+    }
+    // Heap front is the worst retained row; replace it when beaten.
+    if (!output_less(produced, ordered.front())) {
+      discard(slot);
+      return;
+    }
+    std::pop_heap(ordered.begin(), ordered.end(), output_less);
+    discard(ordered.back().slot);
+    ordered.back() = produced;
+    std::push_heap(ordered.begin(), ordered.end(), output_less);
   };
 
   const auto produce_start = record.op_start(own);
-  const std::uint64_t produce_rows_in = ws.rows.size();
+  const std::uint64_t produce_rows_in = ws.count;
   std::uint64_t group_entries = 0;  // groups materialized (either strategy)
   std::uint64_t group_mem = 0;      // bytes charged by the hash strategy
   bool group_degraded = false;      // hash grouping fell back to ordered map
 
   if (!aggregated) {
-    if (!use_topk) output.reserve(ws.rows.size());
-    for (const auto& row : ws.rows) {
+    if (!use_topk) {
+      cells.reserve(ws.count * width);
+      if (!stmt.order_by.empty()) ordered.reserve(ws.count);
+    }
+    for (std::size_t i = 0; i < ws.count; ++i) {
       record.poll();
-      OutputRow out;
-      out.values.reserve(output_exprs.size());
-      for (const Expr* e : output_exprs) {
-        out.values.push_back(eval_expr(*e, row, params));
-      }
-      out.sort_keys.reserve(stmt.order_by.size());
-      for (const auto& item : stmt.order_by) {
-        out.sort_keys.push_back(order_key_for(row, out.values, item));
-      }
-      emit(std::move(out));
+      produce(ws.row(i), i);
     }
   } else {
     for (auto& g : stmt.group_by) bind_expr(*g, ws.layout);
@@ -993,7 +1144,8 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       }
       return accumulators;
     };
-    auto accumulate = [&](std::vector<Accumulator>& accumulators, const Row& row) {
+    Value scratch;
+    auto accumulate = [&](std::vector<Accumulator>& accumulators, SourceRows row) {
       for (std::size_t a = 0; a < aggregate_nodes.size(); ++a) {
         Expr* node = aggregate_nodes[a];
         if (node->children.size() == 1 &&
@@ -1001,42 +1153,33 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
           ++accumulators[a].count;
           accumulators[a].any = true;
         } else {
-          accumulators[a].add(eval_expr(*node->children[0], row, params));
+          accumulators[a].add(eval_ref(*node->children[0], row, params, scratch));
         }
       }
     };
-    auto group_key = [&](const Row& row) {
-      Row key;
-      key.reserve(stmt.group_by.size());
-      for (const auto& g : stmt.group_by) {
-        key.push_back(eval_expr(*g, row, params));
+    // The row's group key, borrowed from the row where it is a column.
+    std::vector<Value> key_scratch(stmt.group_by.size());
+    BorrowedKey key(stmt.group_by.size());
+    auto borrow_key = [&](SourceRows row) {
+      for (std::size_t g = 0; g < stmt.group_by.size(); ++g) {
+        key[g] = &eval_ref(*stmt.group_by[g], row, params, key_scratch[g]);
       }
-      return key;
     };
-    // HAVING + projection for one finished group; the representative row
-    // serves bare column references.
-    auto finish_group = [&](const Row* rep, const std::vector<Accumulator>& accumulators) {
+    // HAVING + projection for one finished group; the representative
+    // working row serves bare column references.
+    auto finish_group = [&](std::size_t rep,
+                            const std::vector<Accumulator>& accumulators) {
       std::vector<Value> aggregate_values;
       aggregate_values.reserve(accumulators.size());
       for (const auto& acc : accumulators) aggregate_values.push_back(acc.result());
 
-      static const Row kEmptyRow;
-      const Row& rep_row = rep != nullptr ? *rep : kEmptyRow;
+      const SourceRows rep_row = rep != kNoRow ? ws.row(rep) : SourceRows();
 
       AggregateRewrite rewrite(aggregate_nodes, aggregate_values);
       if (stmt.having && !is_truthy(eval_expr(*stmt.having, rep_row, params))) {
         return;
       }
-      OutputRow out;
-      out.values.reserve(output_exprs.size());
-      for (const Expr* e : output_exprs) {
-        out.values.push_back(eval_expr(*e, rep_row, params));
-      }
-      out.sort_keys.reserve(stmt.order_by.size());
-      for (const auto& item : stmt.order_by) {
-        out.sort_keys.push_back(order_key_for(rep_row, out.values, item));
-      }
-      emit(std::move(out));
+      produce(rep_row, rep);
     };
 
     bool hash_group_by = tuning.hash_group_by;
@@ -1045,24 +1188,25 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       // entries carry the accumulators inline. Groups come out in
       // first-seen order. Each new group charges the statement's memory
       // budget; a soft breach discards the table and degrades to the
-      // ordered-map fallback below (which re-reads ws.rows — it is a
-      // two-pass strategy anyway).
+      // ordered-map fallback below (which re-reads the working rows — it
+      // is a two-pass strategy anyway).
       ScopedMemCharge mem(record);
       bool degraded = false;
       GroupHashTable groups;
-      for (const auto& row : ws.rows) {
+      for (std::size_t i = 0; i < ws.count; ++i) {
         record.poll();
+        const SourceRows row = ws.row(i);
+        borrow_key(row);
         bool inserted = false;
-        GroupEntry& entry = groups.find_or_insert(
-            group_key(row), [&](Row&& key, std::size_t hash) {
-              inserted = true;
-              GroupEntry e;
-              e.key = std::move(key);
-              e.hash = hash;
-              e.rep = &row;
-              e.accumulators = make_accumulators();
-              return e;
-            });
+        GroupEntry& entry = groups.find_or_insert(key, [&](std::size_t hash) {
+          inserted = true;
+          GroupEntry e;
+          e.key = own_key(key);
+          e.hash = hash;
+          e.rep = i;
+          e.accumulators = make_accumulators();
+          return e;
+        });
         if (inserted &&
             !mem.charge(kHashEntryBytes +
                         (entry.key.size() + entry.accumulators.size()) *
@@ -1100,10 +1244,11 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
       // Fallback: ordered map of group keys (two passes, key-sorted
       // output), kept for parity testing and as the memory-degraded
       // strategy.
-      std::map<Row, std::vector<const Row*>> groups;
-      for (const auto& row : ws.rows) {
+      std::map<Row, std::vector<std::size_t>> groups;
+      for (std::size_t i = 0; i < ws.count; ++i) {
         record.poll();
-        groups[group_key(row)].push_back(&row);
+        borrow_key(ws.row(i));
+        groups[own_key(key)].push_back(i);
       }
       if (groups.empty() && stmt.group_by.empty()) {
         groups[Row{}] = {};  // aggregate over zero rows: one output row
@@ -1112,11 +1257,11 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
         explain->add("group-by: ordered groups=" + std::to_string(groups.size()));
       }
       group_entries = groups.size();
-      for (auto& [key, members] : groups) {
+      for (auto& [group_key, members] : groups) {
         record.poll();
         std::vector<Accumulator> accumulators = make_accumulators();
-        for (const Row* row : members) accumulate(accumulators, *row);
-        finish_group(members.empty() ? nullptr : members.front(), accumulators);
+        for (std::size_t i : members) accumulate(accumulators, ws.row(i));
+        finish_group(members.empty() ? kNoRow : members.front(), accumulators);
       }
     }
   }
@@ -1133,31 +1278,44 @@ ResultSetData execute_select(Database& db, SelectStatement& stmt,
     // dropped beaten rows at emit time; the sort itself is row-preserving.
     const auto sort_start = record.op_start(own);
     if (use_topk) {
-      std::sort_heap(output.begin(), output.end(), output_less);
+      std::sort_heap(ordered.begin(), ordered.end(), output_less);
       if (explain) {
         explain->add("order-by: top-k(" + std::to_string(keep) + ")");
       }
     } else {
       // `seq` tie-break makes the plain sort stable.
-      std::sort(output.begin(), output.end(), output_less);
+      std::sort(ordered.begin(), ordered.end(), output_less);
       if (explain) explain->add("order-by: sort");
     }
-    record.op_end(own, "order-by", sort_start, next_seq, output.size(), 0,
+    record.op_end(own, "order-by", sort_start, next_seq, ordered.size(), 0,
                   topk_mem.charged(), topk_degraded);
   }
 
   const auto limit_start = record.op_start(own);
+  const std::size_t kept = stmt.order_by.empty() ? next_seq : ordered.size();
   std::size_t begin = 0;
-  std::size_t end = output.size();
+  std::size_t end = kept;
   if (offset_count) begin = std::min(end, *offset_count);
   if (limit_count) end = std::min(end, begin + *limit_count);
 
-  result.rows.reserve(end - begin);
-  for (std::size_t i = begin; i < end; ++i) {
-    result.rows.push_back(std::move(output[i].values));
+  const auto cell = [&](std::size_t slot) {
+    return cells.begin() + static_cast<std::ptrdiff_t>(slot * width);
+  };
+  if (stmt.order_by.empty()) {
+    // The slots are the output order: cut the range out in place.
+    cells.resize(end * width);
+    cells.erase(cells.begin(), cell(begin));
+    result.cells = std::move(cells);
+  } else {
+    result.cells.reserve((end - begin) * width);
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t slot = ordered[i].slot;
+      result.cells.insert(result.cells.end(), std::make_move_iterator(cell(slot)),
+                          std::make_move_iterator(cell(slot + 1)));
+    }
   }
   if (limit_count || offset_count) {
-    record.op_end(own, "limit", limit_start, output.size(), result.rows.size());
+    record.op_end(own, "limit", limit_start, kept, end - begin);
   }
   return result;
 }
@@ -1173,8 +1331,8 @@ ResultSetData execute_explain(Database& db, SelectStatement& stmt,
   if (analyze) record.finish_analyze();
   ResultSetData out;
   out.column_names = {"plan"};
-  out.rows.reserve(record.plan.size());
-  for (const auto& line : record.plan) out.rows.push_back({Value(line)});
+  out.cells.reserve(record.plan.size());
+  for (const auto& line : record.plan) out.cells.emplace_back(line);
   return out;
 }
 

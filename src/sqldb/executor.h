@@ -5,12 +5,19 @@
 // candidate selection on the base table) -> GROUP BY / aggregates (open-
 // addressing hash of group keys with inline accumulators) -> HAVING ->
 // projection -> DISTINCT -> ORDER BY (bounded Top-K heap when a LIMIT is
-// present, full sort otherwise) -> LIMIT/OFFSET. Results are materialized;
-// the profile workloads PerfDMF runs are read-mostly and bounded by row
-// construction, not pipelining.
+// present, full sort otherwise) -> LIMIT/OFFSET.
+//
+// Materialization is late. Up to the projection a working row is one
+// row pointer per FROM/JOIN source, pointing at table row versions, which
+// stay put for the statement (only Table::vacuum frees them, under full
+// exclusion). Filters, join keys, group keys, aggregates, sort keys and
+// DISTINCT read values through those pointers; each output value is
+// copied once, into the result's single buffer. The result is a copy, so
+// it stays valid after the statement's locks are released.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -23,9 +30,19 @@ namespace perfdmf::sqldb {
 class Database;
 class StatementRecord;
 
+/// A materialized result: rows of column_names.size() values, row-major
+/// in one buffer, so a result costs one allocation whatever its size.
 struct ResultSetData {
   std::vector<std::string> column_names;
-  std::vector<Row> rows;
+  std::vector<Value> cells;
+
+  std::size_t width() const { return column_names.size(); }
+  std::size_t row_count() const {
+    return width() == 0 ? 0 : cells.size() / width();
+  }
+  std::span<const Value> row(std::size_t i) const {
+    return {cells.data() + i * width(), width()};
+  }
 };
 
 /// Runtime switches for the executor's optimized paths. Tests and benches

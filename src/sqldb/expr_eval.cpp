@@ -34,7 +34,14 @@ void bind_expr(Expr& expr, std::span<const BoundColumn> columns) {
                                : expr.table_qualifier + "." + expr.column_name;
         throw DbError("unknown column '" + full + "'");
       }
-      expr.resolved_index = found;
+      // Sources are contiguous: the column's index in its source's row is
+      // its distance from the source's first column.
+      std::size_t first = found;
+      while (first > 0 && columns[first - 1].source == columns[found].source) {
+        --first;
+      }
+      expr.resolved_source = columns[found].source;
+      expr.resolved_index = found - first;
       break;
     }
     default:
@@ -79,9 +86,33 @@ bool like_match(const std::string& text, const std::string& pattern) {
 
 namespace {
 
-Value eval_binary(const Expr& expr, const Row& row, const Params& params);
+const Value& column_value(const Expr& expr, SourceRows sources) {
+  static const Value kNull;
+  if (expr.resolved_index == static_cast<std::size_t>(-1)) {
+    throw DbError("unbound column reference '" + expr.column_name + "'");
+  }
+  if (expr.resolved_source >= sources.size()) {
+    throw DbError("column index out of range during evaluation");
+  }
+  const Row* row = sources[expr.resolved_source];
+  if (row == nullptr) return kNull;  // LEFT OUTER JOIN padding
+  if (expr.resolved_index >= row->size()) {
+    throw DbError("column index out of range during evaluation");
+  }
+  return (*row)[expr.resolved_index];
+}
 
-Value eval_function(const Expr& expr, const Row& row, const Params& params) {
+const Value& placeholder_value(const Expr& expr, const Params& params) {
+  if (expr.placeholder_index >= params.size()) {
+    throw DbError("missing bind parameter " +
+                  std::to_string(expr.placeholder_index + 1));
+  }
+  return params[expr.placeholder_index];
+}
+
+Value eval_binary(const Expr& expr, SourceRows row, const Params& params);
+
+Value eval_function(const Expr& expr, SourceRows row, const Params& params) {
   const std::string& name = expr.function_name;
   if (is_aggregate_function(name)) {
     throw DbError("aggregate " + name + "() used outside SELECT list / HAVING");
@@ -138,7 +169,7 @@ Value eval_function(const Expr& expr, const Row& row, const Params& params) {
   throw DbError("unknown function " + name + "()");
 }
 
-Value eval_binary(const Expr& expr, const Row& row, const Params& params) {
+Value eval_binary(const Expr& expr, SourceRows row, const Params& params) {
   const std::string& op = expr.op;
   // AND/OR need three-valued logic with short-circuiting.
   if (op == "AND") {
@@ -158,8 +189,10 @@ Value eval_binary(const Expr& expr, const Row& row, const Params& params) {
     return Value(std::int64_t{0});
   }
 
-  Value a = eval_expr(*expr.children[0], row, params);
-  Value b = eval_expr(*expr.children[1], row, params);
+  Value scratch_a;
+  Value scratch_b;
+  const Value& a = eval_ref(*expr.children[0], row, params, scratch_a);
+  const Value& b = eval_ref(*expr.children[1], row, params, scratch_b);
 
   if (op == "LIKE") {
     if (a.is_null() || b.is_null()) return Value();
@@ -217,24 +250,29 @@ Value eval_binary(const Expr& expr, const Row& row, const Params& params) {
 
 }  // namespace
 
-Value eval_expr(const Expr& expr, const Row& row, const Params& params) {
+const Value& detail::eval_ref(const Expr& expr, SourceRows sources,
+                              const Params& params, Value& scratch) {
   switch (expr.kind) {
     case ExprKind::kLiteral:
       return expr.literal;
     case ExprKind::kColumnRef:
-      if (expr.resolved_index == static_cast<std::size_t>(-1)) {
-        throw DbError("unbound column reference '" + expr.column_name + "'");
-      }
-      if (expr.resolved_index >= row.size()) {
-        throw DbError("column index out of range during evaluation");
-      }
-      return row[expr.resolved_index];
+      return column_value(expr, sources);
     case ExprKind::kPlaceholder:
-      if (expr.placeholder_index >= params.size()) {
-        throw DbError("missing bind parameter " +
-                      std::to_string(expr.placeholder_index + 1));
-      }
-      return params[expr.placeholder_index];
+      return placeholder_value(expr, params);
+    default:
+      scratch = eval_expr(expr, sources, params);
+      return scratch;
+  }
+}
+
+Value eval_expr(const Expr& expr, SourceRows row, const Params& params) {
+  switch (expr.kind) {
+    case ExprKind::kLiteral:
+      return expr.literal;
+    case ExprKind::kColumnRef:
+      return column_value(expr, row);
+    case ExprKind::kPlaceholder:
+      return placeholder_value(expr, params);
     case ExprKind::kUnary: {
       Value v = eval_expr(*expr.children[0], row, params);
       if (expr.op == "-") {
@@ -253,18 +291,21 @@ Value eval_expr(const Expr& expr, const Row& row, const Params& params) {
     case ExprKind::kFunction:
       return eval_function(expr, row, params);
     case ExprKind::kIsNull: {
-      Value v = eval_expr(*expr.children[0], row, params);
-      bool null = v.is_null();
+      Value scratch;
+      bool null = eval_ref(*expr.children[0], row, params, scratch).is_null();
       if (expr.negated) null = !null;
       return Value(std::int64_t{null ? 1 : 0});
     }
     case ExprKind::kInList: {
-      Value needle = eval_expr(*expr.children[0], row, params);
+      Value needle_scratch;
+      const Value& needle =
+          eval_ref(*expr.children[0], row, params, needle_scratch);
       if (needle.is_null()) return Value();
       bool found = false;
       bool saw_null = false;
       for (std::size_t i = 1; i < expr.children.size(); ++i) {
-        Value candidate = eval_expr(*expr.children[i], row, params);
+        Value scratch;
+        const Value& candidate = eval_ref(*expr.children[i], row, params, scratch);
         if (candidate.is_null()) {
           saw_null = true;
           continue;
@@ -279,9 +320,12 @@ Value eval_expr(const Expr& expr, const Row& row, const Params& params) {
       return Value(std::int64_t{found ? 1 : 0});
     }
     case ExprKind::kBetween: {
-      Value v = eval_expr(*expr.children[0], row, params);
-      Value lo = eval_expr(*expr.children[1], row, params);
-      Value hi = eval_expr(*expr.children[2], row, params);
+      Value scratch_v;
+      Value scratch_lo;
+      Value scratch_hi;
+      const Value& v = eval_ref(*expr.children[0], row, params, scratch_v);
+      const Value& lo = eval_ref(*expr.children[1], row, params, scratch_lo);
+      const Value& hi = eval_ref(*expr.children[2], row, params, scratch_hi);
       if (v.is_null() || lo.is_null() || hi.is_null()) return Value();
       bool inside = v >= lo && v <= hi;
       if (expr.negated) inside = !inside;

@@ -136,17 +136,6 @@ std::vector<MetricSample> MetricsRegistry::snapshot() const {
   return out;  // std::map iteration: already name-sorted
 }
 
-void MetricsRegistry::reset_values() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, entry] : entries_) {
-    switch (entry.kind) {
-      case MetricSample::Kind::kCounter: entry.counter->reset(); break;
-      case MetricSample::Kind::kGauge: entry.gauge->reset(); break;
-      case MetricSample::Kind::kHistogram: entry.histogram->reset(); break;
-    }
-  }
-}
-
 // ----------------------------------------------------------- JSON export
 
 namespace {

@@ -173,9 +173,6 @@ class MetricsRegistry {
   /// the set is the registration set at call time, sorted by name.
   std::vector<MetricSample> snapshot() const;
 
-  /// Zero every registered metric (benchmarks and tests; names persist).
-  void reset_values();
-
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 

@@ -514,6 +514,103 @@ TEST(FsyncPhase, DurabilityWaitIsAttributedToFsync) {
   telemetry::set_slow_query_threshold_ms(saved);
 }
 
+TEST(FsyncPhase, ApiCommitWaitIsAttributedToFsync) {
+  perfdmf::util::ScopedTempDir dir;
+  auto shared = std::make_shared<Database>(dir.path() / "db", DurabilityOptions{});
+  Connection observer(shared);
+  observer.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+
+  const double saved = telemetry::slow_query_threshold_ms();
+  telemetry::set_slow_query_threshold_ms(0.0);
+  telemetry::TraceRing::instance().clear();
+
+  // Under SyncMode::kOnCommit only the commit syncs; hold its fsync.
+  constexpr int kDelayMs = 60;
+  fp::enable_every("wal.sync", perfdmf::util::FailAction::kDelay, 1, kDelayMs);
+  std::thread committing([&] {
+    Connection c(shared);
+    c.begin();
+    c.execute_update("INSERT INTO t (v) VALUES (9)");
+    c.commit();
+  });
+  EXPECT_TRUE(poll_for_phase(observer, "fsync"));
+  committing.join();
+  fp::disable("wal.sync");
+
+  if (telemetry::compiled_in()) {
+    const auto traces = telemetry::TraceRing::instance().snapshot();
+    const telemetry::QueryTrace* commit = find_trace(traces, "COMMIT");
+    ASSERT_NE(commit, nullptr);
+    EXPECT_GE(phase_ms(*commit, telemetry::Phase::kFsync), kDelayMs)
+        << "the API commit's fsync must land in its fsync phase";
+  }
+  telemetry::set_slow_query_threshold_ms(saved);
+}
+
+/// Ten begin / INSERT / commit units, through the Connection API or as
+/// SQL text; returns how far they moved wal.group_commit.commits.
+std::uint64_t group_commits_of_ten_units(Connection& conn, bool api) {
+  auto& commits =
+      telemetry::MetricsRegistry::instance().counter("wal.group_commit.commits");
+  const std::uint64_t before = commits.value();
+  for (int i = 0; i < 10; ++i) {
+    if (api) {
+      conn.begin();
+    } else {
+      conn.execute_update("BEGIN");
+    }
+    conn.execute_update("INSERT INTO t (v) VALUES (" + std::to_string(i) + ")");
+    if (api) {
+      conn.commit();
+    } else {
+      conn.execute_update("COMMIT");
+    }
+  }
+  return commits.value() - before;
+}
+
+TEST(GroupCommit, ApiCommitsJoinGroupCommitLikeSqlCommits) {
+  perfdmf::util::ScopedTempDir dir;
+  DurabilityOptions options;
+  options.sync = SyncMode::kOnCommit;
+  Connection conn(dir.path() / "db", options);
+  conn.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+  const std::uint64_t sql = group_commits_of_ten_units(conn, /*api=*/false);
+  const std::uint64_t api = group_commits_of_ten_units(conn, /*api=*/true);
+  if (telemetry::compiled_in()) {
+    EXPECT_GE(sql, 10u);
+    EXPECT_EQ(api, sql) << "API commits must wait for durability through "
+                           "group commit, as SQL COMMITs do";
+  }
+  auto rs = conn.execute("SELECT COUNT(*) FROM t");
+  rs.next();
+  EXPECT_EQ(rs.get_int(1), 20);
+}
+
+TEST(WalTable, FileBackedSeqsCatchUpAfterApiCommit) {
+  perfdmf::util::ScopedTempDir dir;
+  Connection conn(dir.path() / "db", DurabilityOptions{});
+  conn.execute_update("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)");
+  conn.begin();
+  conn.execute_update("INSERT INTO t (v) VALUES (1)");
+  conn.execute_update("INSERT INTO t (v) VALUES (2)");
+  conn.commit();
+
+  auto rs = conn.execute(
+      "SELECT written_seq, durable_seq, commit_queue_depth, "
+      "last_fsync_micros, sync_mode, read_only FROM PERFDMF_WAL");
+  ASSERT_EQ(rs.row_count(), 1u);
+  rs.next();
+  EXPECT_GE(rs.get_int(1), 2);  // the CREATE TABLE and the commit batch
+  EXPECT_EQ(rs.get_int(2), rs.get_int(1))
+      << "the commit's fsync covers everything written before it";
+  EXPECT_EQ(rs.get_int(3), 0);  // nobody is waiting for durability
+  EXPECT_GE(rs.get_int(4), 0);
+  EXPECT_LT(rs.get_int(4), 60'000'000);  // one fsync, well under a minute
+  EXPECT_EQ(rs.get_string(5), "on_commit");
+  EXPECT_EQ(rs.get_int(6), 0);
+}
+
 // ------------------------------------------------------------- exports
 
 TEST(IntrospectionJson, ExportsSurviveHostileSqlText) {
